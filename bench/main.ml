@@ -32,8 +32,12 @@ let fg_parse src = C.Parser.exp_of_string src
 let fg_check ast = ignore (C.Check.typecheck ast)
 let fg_translate ast = C.Check.translate ast
 
+(* The whole pipeline through a fresh session: nothing amortized. *)
+let run_fresh src =
+  C.Session.run (C.Session.of_config C.Session.Config.default) src
+
 let staged_pipeline name src =
-  Test.make ~name (Staged.stage (fun () -> ignore (C.Pipeline.run src)))
+  Test.make ~name (Staged.stage (fun () -> ignore (run_fresh src)))
 
 let staged_typecheck name src =
   let ast = fg_parse src in
@@ -246,11 +250,11 @@ let session_tests =
     Test.make ~name:"session/prelude_amortized"
       (Staged.stage (fun () -> ignore (C.Session.run shared body)));
     Test.make ~name:"session/prelude_fresh_pipeline"
-      (Staged.stage (fun () -> ignore (C.Pipeline.run (C.Prelude.wrap body))));
+      (Staged.stage (fun () -> ignore (run_fresh (C.Prelude.wrap body))));
     Test.make ~name:"session/no_prelude_shared"
       (Staged.stage (fun () -> ignore (C.Session.run no_prelude standalone)));
     Test.make ~name:"session/no_prelude_fresh"
-      (Staged.stage (fun () -> ignore (C.Pipeline.run standalone)));
+      (Staged.stage (fun () -> ignore (run_fresh standalone)));
   ]
 
 (* ---------------------------------------------------------------- *)

@@ -88,9 +88,6 @@ let global_flag =
   in
   Arg.(value & flag & info [ "global-models" ] ~doc)
 
-let resolution_of_flag g =
-  if g then C.Resolution.Global else C.Resolution.Lexical
-
 let with_prelude_flag =
   let doc = "Check the program under the standard prelude (concepts, \
              models for int/bool/list int, and the generic algorithms), \
@@ -192,27 +189,52 @@ let format_arg =
   Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
        & info [ "format" ] ~docv:"FMT" ~doc)
 
-(* The session every subcommand drives: prelude cached at creation when
-   requested, so per-program work excludes it.  All construction goes
-   through one [Session.Config.t]. *)
-let session_config ?(backend = "dict") ?cache_dir ?cache_max_bytes ?profile
-    ~global ~with_prelude () =
-  let module Cfg = C.Session.Config in
-  let cfg =
-    Cfg.default
-    |> Cfg.with_resolution (resolution_of_flag global)
-    |> Cfg.with_backend (C.Backend.of_string_exn backend)
-    |> Cfg.with_cache_dir cache_dir
-    |> Cfg.with_cache_max_bytes cache_max_bytes
-    |> Cfg.with_profile profile
-  in
-  if with_prelude then Cfg.with_standard_prelude cfg else cfg
+(* The session-shaping flags of the program-driving commands, as one
+   term.  A command picks its groups: [scope] (--global-models,
+   --prelude), [backend] (--backend, --cache-dir, --cache-max-bytes)
+   and [profile] (--profile, --profile-out).  [config] is a thunk, so
+   an unknown backend (FG1001) or an unreadable profile (FG1003) is
+   raised inside the command body, under [handle]. *)
+type session_flags = {
+  config : unit -> C.Session.Config.t;
+  profile_out : string option;
+}
 
-let make_session ?backend ?cache_dir ?cache_max_bytes ?profile ~global
-    ~with_prelude () =
-  C.Session.of_config
-    (session_config ?backend ?cache_dir ?cache_max_bytes ?profile ~global
-       ~with_prelude ())
+let session_term ?(scope = true) ?(backend = true) ?(profile = false) () =
+  let group on arg absent = if on then arg else Term.const absent in
+  let make global prelude backend_name cache_dir cache_max_bytes
+      profile_file profile_out =
+    let config () =
+      let profile = Option.map Profile.load profile_file in
+      C.Session.Config.(
+        make ?profile ~prelude ~global_models:global
+          (C.Backend.of_string_exn backend_name)
+        |> with_cache_dir cache_dir
+        |> with_cache_max_bytes cache_max_bytes)
+    in
+    { config; profile_out }
+  in
+  Term.(
+    const make $ group scope global_flag false
+    $ group scope with_prelude_flag false
+    $ group backend backend_arg "dict"
+    $ group backend cache_dir_arg None
+    $ group backend cache_max_bytes_arg None
+    $ group profile profile_arg None
+    $ group profile profile_out_arg None)
+
+(* The session a command drives: prelude checked once, at creation.
+   With --profile-out, collection starts first, so it covers the
+   prelude check too. *)
+let open_session flags =
+  let cfg = flags.config () in
+  if flags.profile_out <> None then Profile.set_collecting true;
+  C.Session.of_config cfg
+
+let save_profile flags ~programs s =
+  Option.iter
+    (fun path -> write_profile_out path ~programs s)
+    flags.profile_out
 
 let get_source file expr =
   match expr with Some s -> ("<expr>", s) | None -> read_input file
@@ -225,34 +247,25 @@ let file_pos_arg =
 (* check                                                             *)
 
 let check_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
-      stats =
+  let run file expr flags stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~with_prelude ()
-        in
+        let s = open_session flags in
         Fmt.pr "%a@." C.Pretty.pp_ty (C.Session.typecheck ~file:name s src))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Type check an FG program and print its type")
-    Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ stats_flag)
+    Term.(const run $ file_pos_arg $ expr_arg $ session_term ()
+          $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* translate                                                         *)
 
 let translate_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
-      show_type stats =
+  let run file expr flags show_type stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ~global
-            ~with_prelude ()
-        in
+        let s = open_session flags in
         let f = C.Session.translate ~file:name s src in
         (* Off the Dict backend, print the partially evaluated program
            (stencils and hoisted dictionaries on the spine). *)
@@ -274,25 +287,17 @@ let translate_cmd =
        ~doc:
          "Translate an FG program to System F (dictionary passing, or a \
           specialized backend with $(b,--backend))")
-    Term.(
-      const run $ file_pos_arg $ expr_arg $ global_flag $ with_prelude_flag
-      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ show_type
-      $ stats_flag)
+    Term.(const run $ file_pos_arg $ expr_arg $ session_term () $ show_type
+          $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* run                                                               *)
 
 let run_cmd =
-  let run file expr global with_prelude backend cache_dir cache_max_bytes
-      profile profile_out verbose format stats =
+  let run file expr flags verbose format stats =
     handle_code ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
-            ~with_prelude ()
-        in
+        let s = open_session flags in
         (* The recovering pipeline: every independent error in the
            program comes back in one invocation, plus any warnings. *)
         let report = C.Session.run_full ~file:name s src in
@@ -323,9 +328,7 @@ let run_cmd =
                     (if out.theorem_holds then "holds" else "VIOLATED")
                 end
                 else Fmt.pr "%a@." C.Interp.pp_flat out.value));
-        Option.iter
-          (fun path -> write_profile_out path ~programs:1 s)
-          profile_out;
+        save_profile flags ~programs:1 s;
         match report.C.Session.outcome with Some _ -> 0 | None -> 1)
   in
   let verbose =
@@ -339,19 +342,17 @@ let run_cmd =
          "Run the full pipeline: check, translate, verify the theorem, \
           evaluate both directly and via the translation, and print the \
           (agreeing) value")
-    Term.(
-      const run $ file_pos_arg $ expr_arg $ global_flag $ with_prelude_flag
-      $ backend_arg $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
-      $ profile_out_arg $ verbose $ format_arg $ stats_flag)
+    Term.(const run $ file_pos_arg $ expr_arg $ session_term ~profile:true ()
+          $ verbose $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* elaborate                                                         *)
 
 let elaborate_cmd =
-  let run file expr global with_prelude stats =
+  let run file expr flags stats =
     handle ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~global ~with_prelude () in
+        let s = open_session flags in
         let _, elaborated, _ = C.Session.elaborate ~file:name s src in
         Fmt.pr "%a@." C.Pretty.pp_exp elaborated)
   in
@@ -360,17 +361,17 @@ let elaborate_cmd =
        ~doc:
          "Print the elaborated FG program (implicit instantiations made \
           explicit, member defaults filled in)")
-    Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ stats_flag)
+    Term.(const run $ file_pos_arg $ expr_arg $ session_term ~backend:false ()
+          $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* verify                                                            *)
 
 let verify_cmd =
-  let run file expr global with_prelude format stats =
+  let run file expr flags format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let name, src = get_source file expr in
-        let s = make_session ~global ~with_prelude () in
+        let s = open_session flags in
         let report = C.Session.verify ~file:name s src in
         match format with
         | `Json ->
@@ -397,8 +398,8 @@ let verify_cmd =
        ~doc:
          "Check the paper's Theorems 1/2 on this program: the translation \
           type checks in System F at the translated type")
-    Term.(const run $ file_pos_arg $ expr_arg $ global_flag
-          $ with_prelude_flag $ format_arg $ stats_flag)
+    Term.(const run $ file_pos_arg $ expr_arg $ session_term ~backend:false ()
+          $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* batch                                                             *)
@@ -409,21 +410,12 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 let batch_cmd =
-  let run files global with_prelude backend cache_dir cache_max_bytes
-      profile profile_out domains format stats =
+  let run files flags domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
         let jobs = List.map read_input files in
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
-        let s =
-          make_session ~backend ?cache_dir ?cache_max_bytes ?profile ~global
-            ~with_prelude ()
-        in
+        let s = open_session flags in
         let results = C.Session.run_batch ?domains s jobs in
-        Option.iter
-          (fun path ->
-            write_profile_out path ~programs:(List.length jobs) s)
-          profile_out;
+        save_profile flags ~programs:(List.length jobs) s;
         let failed = ref 0 in
         (match format with
         | `Json ->
@@ -464,21 +456,19 @@ let batch_cmd =
          "Run many FG programs through the full pipeline, fanned out over \
           OCaml domains with a shared session configuration; output order \
           matches the argument order regardless of the domain count")
-    Term.(const run $ files $ global_flag $ with_prelude_flag $ backend_arg
-          $ cache_dir_arg $ cache_max_bytes_arg $ profile_arg
-          $ profile_out_arg $ domains_arg $ format_arg $ stats_flag)
+    Term.(const run $ files $ session_term ~profile:true () $ domains_arg
+          $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
 (* corpus                                                            *)
 
 let corpus_cmd =
-  let run name_opt all backend cache_dir cache_max_bytes profile profile_out
-      domains format stats =
+  let run name_opt all flags domains format stats =
     handle ~json:(format = `Json) ~stats (fun () ->
-        let profile = Option.map Profile.load profile in
-        if profile_out <> None then Profile.set_collecting true;
         match (name_opt, all) with
         | None, false ->
+            (* Listing runs nothing, but bad flags are still rejected. *)
+            ignore (flags.config ());
             List.iter
               (fun (e : C.Corpus.entry) ->
                 Fmt.pr "%-30s %-18s %s@." e.name e.paper e.description)
@@ -486,19 +476,13 @@ let corpus_cmd =
         | None, true ->
             (* Run every entry, in parallel; an entry passes when its
                outcome matches its stated expectation. *)
-            let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes ?profile
-                ~global:false ~with_prelude:false ()
-            in
+            let s = open_session flags in
             let jobs =
               List.map (fun (e : C.Corpus.entry) -> (e.name, e.source))
                 C.Corpus.all
             in
             let results = C.Session.run_batch ?domains s jobs in
-            Option.iter
-              (fun path ->
-                write_profile_out path ~programs:(List.length jobs) s)
-              profile_out;
+            save_profile flags ~programs:(List.length jobs) s;
             let failed = ref 0 in
             let verdicts =
               List.map2
@@ -522,19 +506,14 @@ let corpus_cmd =
                   (Json.List
                      (List.map
                         (fun (name, ok, r) ->
-                          match r with
-                          | Ok o ->
-                              (match json_of_outcome ~file:name o with
-                              | Json.Obj fields ->
-                                  Json.Obj
-                                    (("expected_ok", Json.Bool ok) :: fields)
-                              | j -> j)
-                          | Error d ->
-                              (match json_of_failure ~file:name d with
-                              | Json.Obj fields ->
-                                  Json.Obj
-                                    (("expected_ok", Json.Bool ok) :: fields)
-                              | j -> j))
+                          match
+                            match r with
+                            | Ok o -> json_of_outcome ~file:name o
+                            | Error d -> json_of_failure ~file:name d
+                          with
+                          | Json.Obj fields ->
+                              Json.Obj (("expected_ok", Json.Bool ok) :: fields)
+                          | j -> j)
                         verdicts))
             | `Text ->
                 List.iter
@@ -557,17 +536,10 @@ let corpus_cmd =
               Diag.error Diag.Eval "%d corpus entries off expectation"
                 !failed
         | Some name, _ -> (
+            let s = open_session flags in
             let e = C.Corpus.find name in
             Fmt.pr "// %s (%s)@.%s@.@." e.description e.paper e.source;
-            let s =
-              make_session ~backend ?cache_dir ?cache_max_bytes ?profile
-                ~global:false ~with_prelude:false ()
-            in
-            let finish () =
-              Option.iter
-                (fun path -> write_profile_out path ~programs:1 s)
-                profile_out
-            in
+            let finish () = save_profile flags ~programs:1 s in
             match e.expected with
             | C.Corpus.Value expect ->
                 let out = C.Session.run ~file:e.name s e.source in
@@ -597,8 +569,8 @@ let corpus_cmd =
   Cmd.v
     (Cmd.info "corpus"
        ~doc:"List or run the built-in corpus of paper example programs")
-    Term.(const run $ entry_arg $ all_flag $ backend_arg $ cache_dir_arg
-          $ cache_max_bytes_arg $ profile_arg $ profile_out_arg
+    Term.(const run $ entry_arg $ all_flag
+          $ session_term ~scope:false ~profile:true ()
           $ domains_arg $ format_arg $ stats_flag)
 
 (* ---------------------------------------------------------------- *)
@@ -804,6 +776,10 @@ let serve_cmd =
       backend cache_dir cache_max_bytes cache_peers profile profile_out
       verbose =
     handle_code (fun () ->
+        (* The daemon's live heap is small and bounded by its caches:
+           at the default pacing (120) editor traffic starts a major GC
+           cycle every few edits, and every request pays for them. *)
+        Gc.set { (Gc.get ()) with Gc.space_overhead = 160 };
         let address = address_of ~socket ~port ~host in
         let base = Server.default_config address in
         let cfg =

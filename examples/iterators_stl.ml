@@ -21,7 +21,8 @@ let section title = Fmt.pr "@.--- %s ---@." title
 
 (* One session for the whole tour: the prelude is checked once here and
    reused by every [show] below. *)
-let session = C.Session.with_prelude ()
+let session =
+  C.Session.of_config C.Session.Config.(with_standard_prelude default)
 
 let show name body =
   let out = C.Session.run ~file:name session body in

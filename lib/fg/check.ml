@@ -46,7 +46,6 @@ let p_model_ground = Coverage.probe "check.model.ground"
 let p_model_param = Coverage.probe "check.model.param"
 let p_model_named = Coverage.probe "check.model.named"
 let p_model_defaults = Coverage.probe "check.model.defaults"
-let p_recover_poison = Coverage.probe "recover.check.poison"
 
 (* ------------------------------------------------------------------ *)
 (* Position-index sink                                                 *)
@@ -227,7 +226,7 @@ let check_concept_decl ?loc env (d : concept_decl) : unit =
    factored through [check_decl], which does all of a declaration's own
    work BEFORE the body is checked and returns the extended environment
    plus a wrapper rebuilding the whole node's result from the body's.
-   [check] composes the two on the spot; {!check_prefix} walks a whole
+   [check] composes the two on the spot; {!Unit.walk} walks a whole
    declaration spine once and keeps the environment and composed
    wrapper around — that is what lets a {!Session} check a shared
    prelude once and reuse it for every program. *)
@@ -968,25 +967,6 @@ and resolve_own_projections c margs massoc ty =
   go ty
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-
-(** Check the declaration spine of [e] — every leading concept / model /
-    let / using / type-alias — and stop at the first non-declaration.
-    Returns the extended environment, the residual body, and the
-    composed wrapper rebuilding whole-program results from body
-    results.  A {!Session} runs this once over its prelude; checking a
-    program against the prelude is then [wrap (check env program)]. *)
-let check_prefix (env : Env.t) (e : exp) :
-    Env.t * exp * (ty * exp * F.exp -> ty * exp * F.exp) =
-  let rec walk env e acc =
-    match check_decl env e with
-    | Some (env', body, wrap) -> walk env' body (wrap :: acc)
-    | None ->
-        (env, e, fun res -> List.fold_left (fun res w -> w res) res acc)
-  in
-  walk env e []
-
-(* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
 (* The names a failed declaration would have bound.  An unnamed model
@@ -1023,38 +1003,8 @@ let is_cascade poisoned (d : Diag.diagnostic) =
       || Strutil.contains ~needle:("no model of " ^ n ^ "<") d.Diag.message)
     poisoned
 
-(** Like {!check_prefix}, but a declaration that fails to check is
-    reported to [engine] and skipped — its bindings are poisoned (added
-    to the returned set) rather than made, and diagnostics that mention
-    a poisoned name are suppressed as cascades.  [poisoned] seeds the
-    set with names whose declarations were already dropped upstream
-    (the recovering parser).  The composed wrapper covers only the
-    declarations that checked; it rebuilds a meaningful program iff the
-    engine recorded no errors. *)
-let check_prefix_recovering ~engine ?(poisoned = Sset.empty) (env : Env.t)
-    (e : exp) :
-    Env.t * exp * (ty * exp * F.exp -> ty * exp * F.exp) * Sset.t =
-  let rec walk env e acc poisoned =
-    match check_decl env e with
-    | Some (env', body, wrap) -> walk env' body (wrap :: acc) poisoned
-    | None -> (env, e, acc, poisoned)
-    | exception Diag.Error d ->
-        Coverage.hit p_recover_poison;
-        if not (is_cascade poisoned d) then Diag.report engine d;
-        let poisoned =
-          List.fold_left (fun s n -> Sset.add n s) poisoned (decl_poison e)
-        in
-        (* [check_decl] only raises on declaration forms, so the body is
-           always there to continue with. *)
-        (match decl_body e with
-        | Some body -> walk env body acc poisoned
-        | None -> (env, e, acc, poisoned))
-  in
-  let env', residual, acc, poisoned = walk env e [] poisoned in
-  ( env',
-    residual,
-    (fun res -> List.fold_left (fun res w -> w res) res acc),
-    poisoned )
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
 
 (** Type check a closed FG program, returning its type, its elaborated
     form (implicit instantiations made explicit — the term the direct

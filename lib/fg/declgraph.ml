@@ -25,7 +25,6 @@
 open Fg_util
 open Ast
 module Sset = Names.Sset
-module ISet = Set.Make (Int)
 
 type info = {
   i_provides : Sset.t;
@@ -222,28 +221,35 @@ let build ~global (infos : info array) : int list array =
       | None -> info.i_model_of
     in
     eff_model_of.(k) <- mo;
-    let d = ref ISet.empty in
+    (* Indexed by earlier unit: [d.(j)] when [j] is a dependency,
+       [covered.(j)] when [j]'s closures are already in [r] and [c]. *)
+    let d = Array.make k false and covered = Array.make k false in
     let r = ref info.i_refs in
     let c = ref info.i_concepts in
+    let changed = ref true in
+    let add j =
+      if not d.(j) then begin
+        d.(j) <- true;
+        changed := true
+      end
+    in
     if global && info.i_declares_model then
       List.iter
-        (fun j -> if infos.(j).i_declares_model then d := ISet.add j !d)
+        (fun j -> if infos.(j).i_declares_model then add j)
         !model_units;
-    let changed = ref true in
     while !changed do
       changed := false;
       (* latest provider of every accumulated reference *)
       Sset.iter
-        (fun nm ->
-          match Hashtbl.find_opt providers nm with
-          | Some j when not (ISet.mem j !d) ->
-              d := ISet.add j !d;
-              changed := true
-          | _ -> ())
+        (fun nm -> Option.iter add (Hashtbl.find_opt providers nm))
         !r;
-      (* fold dependency closures into our own *)
-      ISet.iter
-        (fun j ->
+      (* fold dependency closures into our own, newest first: a unit's
+         closures already contain those of its own dependencies, so
+         folding it covers them too and they need no subset check *)
+      for j = k - 1 downto 0 do
+        if d.(j) && not covered.(j) then begin
+          covered.(j) <- true;
+          List.iter (fun i -> covered.(i) <- true) deps.(j);
           if not (Sset.subset refstar.(j) !r) then begin
             r := Sset.union refstar.(j) !r;
             changed := true
@@ -251,23 +257,21 @@ let build ~global (infos : info array) : int list array =
           if not (Sset.subset closed.(j) !c) then begin
             c := Sset.union closed.(j) !c;
             changed := true
-          end)
-        !d;
+          end
+        end
+      done;
       (* every earlier model of an interesting concept is consultable *)
       List.iter
-        (fun j ->
-          if
-            (not (ISet.mem j !d))
-            && not (Sset.is_empty (Sset.inter eff_model_of.(j) !c))
-          then begin
-            d := ISet.add j !d;
-            changed := true
-          end)
+        (fun j -> if not (Sset.disjoint eff_model_of.(j) !c) then add j)
         !model_units
     done;
     refstar.(k) <- !r;
     closed.(k) <- !c;
-    deps.(k) <- ISet.elements !d;
+    let ds = ref [] in
+    for j = k - 1 downto 0 do
+      if d.(j) then ds := j :: !ds
+    done;
+    deps.(k) <- !ds;
     Sset.iter (fun nm -> Hashtbl.replace providers nm k) info.i_provides;
     List.iter (fun (m, c) -> Hashtbl.replace named_concept m c) info.i_named;
     if info.i_declares_model || not (Sset.is_empty mo) then

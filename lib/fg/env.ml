@@ -341,23 +341,12 @@ let no_model_notes env c =
                 candidates));
       ]
 
-let lookup_model_exn ?loc env c args =
-  match lookup_model ?loc env c args with
-  | Some fm -> fm
-  | None ->
-      Diag.resolve_error ~code:"FG0402" ~notes:(no_model_notes env c) ?loc
-        "no model of %s in scope"
-        (Pretty.constr_to_string (CModel (c, args)))
-
 (** Type equality and representatives, normalizing projections through
     parameterized models first.  These are the operations the checker
     uses everywhere. *)
 let ty_eq ?loc env a b =
   ty_equal a b
   || Equality.equal env.eq (normalize ?loc env a) (normalize ?loc env b)
-
-let ty_eq_list ?loc env xs ys =
-  List.length xs = List.length ys && List.for_all2 (ty_eq ?loc env) xs ys
 
 let ty_repr ?loc env t = Equality.repr env.eq (normalize ?loc env t)
 

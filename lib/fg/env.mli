@@ -97,9 +97,6 @@ val lookup_model :
   ?loc:Fg_util.Loc.t -> ?depth:int -> t -> string -> ty list ->
   found_model option
 
-val lookup_model_exn :
-  ?loc:Fg_util.Loc.t -> t -> string -> ty list -> found_model
-
 (** All models in scope for a concept (diagnostics). *)
 val models_of_concept : t -> string -> model_entry list
 
@@ -110,7 +107,6 @@ val no_model_notes : t -> string -> Fg_util.Diag.note list
     the checker uses everywhere. *)
 val ty_eq : ?loc:Fg_util.Loc.t -> t -> ty -> ty -> bool
 
-val ty_eq_list : ?loc:Fg_util.Loc.t -> t -> ty list -> ty list -> bool
 val ty_repr : ?loc:Fg_util.Loc.t -> t -> ty -> ty
 
 (** Fresh name from the environment's shared supply. *)

@@ -570,5 +570,3 @@ let run_program ?(fuel = default_fuel) (e : exp) : value * int =
   (v, fuel - run.st.fuel)
 
 let run_value ?fuel e = fst (run_program ?fuel e)
-
-let run_result ?fuel e = Diag.protect (fun () -> run_program ?fuel e)

@@ -55,6 +55,18 @@ module Config = struct
   let with_cache_dir cache_dir c = { c with cache_dir }
   let with_cache_max_bytes cache_max_bytes c = { c with cache_max_bytes }
   let with_profile profile c = { c with profile }
+
+  let make ?profile ~prelude ~global_models backend =
+    {
+      default with
+      backend;
+      resolution =
+        (if global_models then Resolution.Global else Resolution.Lexical);
+      prelude = (if prelude then Some Prelude.full else None);
+      (* Only guided sessions consult the profile; dropping it
+         elsewhere keeps otherwise identical configs equal. *)
+      profile = (if backend = Backend.Guided then profile else None);
+    }
 end
 
 type spec = {
@@ -165,28 +177,17 @@ let of_config ?cache (cfg : Config.t) : t =
 
 let config t = t.cfg
 
-(* Deprecated optional-argument shims, kept for one release. *)
-let create ?(resolution = Resolution.Lexical) ?(escape_check = true) ?prelude
-    ?cache ?unit_cache_capacity () : t =
-  of_config ?cache
-    {
-      Config.default with
-      Config.resolution;
-      escape_check;
-      prelude;
-      unit_cache_capacity;
-    }
-
-let with_prelude ?resolution () =
-  of_config
-    (Config.with_standard_prelude
-       (match resolution with
-       | None -> Config.default
-       | Some r -> Config.with_resolution r Config.default))
+let memo cache =
+  let sessions = ref [] in
+  fun cfg ->
+    match List.assoc_opt cfg !sessions with
+    | Some s -> s
+    | None ->
+        let s = of_config ~cache cfg in
+        sessions := (cfg, s) :: !sessions;
+        s
 
 let backend t = t.cfg.Config.backend
-let resolution t = t.cfg.Config.resolution
-let prelude_source t = t.cfg.Config.prelude
 
 let extend t decls =
   (* Rewind the supply first so extension points do not depend on how
@@ -289,10 +290,6 @@ let verify ?file t source =
   let triple = elaborate ?file t source in
   Telemetry.time Telemetry.Verify (fun () ->
       Theorems.report_of_elaboration triple)
-
-let interpret ?file ?fuel t source =
-  let _, elaborated, _ = elaborate ?file t source in
-  Telemetry.time Telemetry.Eval (fun () -> Interp.run_value ?fuel elaborated)
 
 (* Specializing back end: partially evaluate the translation, then
    enforce the oracle — the specialized program must re-typecheck in
@@ -404,7 +401,9 @@ type run_report = {
   diagnostics : Diag.diagnostic list;
 }
 
-let run_full_impl ~file ?fuel ?decl_log t source : run_report =
+(* The recovering run, with the parsed program and the walked
+   declaration log alongside the report. *)
+let run_full_impl ~file ?fuel t source =
   let engine = Diag.engine () in
   (* Route warnings raised anywhere under this run (the environment's
      sink) into the same engine as the recovered errors. *)
@@ -425,7 +424,6 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
             Unit.walk ~recover:engine ~poisoned t.cache ~spine:t.spine t.env
               ast)
       in
-      Option.iter (fun r -> r := w.Unit.w_decls) decl_log;
       let poisoned = w.Unit.w_poisoned in
       (* The residual body is checked even when declarations failed, so
          its own independent errors surface in the same invocation;
@@ -448,32 +446,39 @@ let run_full_impl ~file ?fuel ?decl_log t source : run_report =
                   ~backend:t.cfg.Config.backend ~source ~ast triple)
         | _ -> None
       in
-      { outcome; diagnostics = Diag.diagnostics engine })
+      ({ outcome; diagnostics = Diag.diagnostics engine }, ast, w.Unit.w_decls))
 
 let run_full ?(file = "<program>") ?fuel t source : run_report =
-  run_full_impl ~file ?fuel t source
+  let report, _, _ = run_full_impl ~file ?fuel t source in
+  report
 
 (* The workspace entry point: exactly [run_full] — same recovering
    parse, same walk, same diagnostics, so its report renders
-   byte-identically — but it also hands back the walked declaration
-   log and every position-index entry recorded while checking.
-   Replayed (cache-hit) declarations record no entries; the caller
-   rebases the entries it saved when their unit was first checked. *)
+   byte-identically — but it also hands back the parsed program, the
+   walked declaration log and every position-index entry recorded
+   while checking.  Replayed (cache-hit) declarations record no
+   entries; the caller rebases the entries it saved when their unit
+   was first checked. *)
 type indexed_run = {
   ix_report : run_report;
+  ix_ast : Ast.exp;
   ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }
 
 let run_indexed ?(file = "<program>") ?fuel t source : indexed_run =
   let entries = ref [] in
-  let decl_log = ref [] in
-  let report =
+  let report, ast, decls =
     Check.with_index_sink
       (fun e -> entries := e :: !entries)
-      (fun () -> run_full_impl ~file ?fuel ~decl_log t source)
+      (fun () -> run_full_impl ~file ?fuel t source)
   in
-  { ix_report = report; ix_decls = !decl_log; ix_entries = List.rev !entries }
+  {
+    ix_report = report;
+    ix_ast = ast;
+    ix_decls = decls;
+    ix_entries = List.rev !entries;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Parallel batch verification                                       *)
@@ -525,5 +530,4 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
 
 let stats t = Telemetry.diff (Telemetry.snapshot ()) t.created
 let interned_types t = Hashcons.size t.hc
-let unit_cache t = t.cache
 let cache_stats t = Unit.stats t.cache

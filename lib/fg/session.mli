@@ -7,7 +7,7 @@
       the prelude's, each program's, each {!extend} — is split into
       content-hashed units, each checked at most once per (content,
       dependency chain) and replayed from the cache everywhere else.
-      The prelude is checked {e once} at {!create}; re-checking an
+      The prelude is checked {e once} at {!of_config}; re-checking an
       edited program re-checks only the declarations whose content or
       dependencies changed;
     - a {b hash-consed type table} ({!Hashcons}): each program's AST is
@@ -82,6 +82,13 @@ module Config : sig
   val with_cache_dir : string option -> t -> t
   val with_cache_max_bytes : int option -> t -> t
   val with_profile : Profile.t option -> t -> t
+
+  (** The configuration a driver request denotes: the standard prelude
+      or none, global or lexical resolution, and a backend.  [profile]
+      is kept only for {!Backend.Guided}, the one backend that consults
+      it, so configs that behave alike compare equal. *)
+  val make :
+    ?profile:Profile.t -> prelude:bool -> global_models:bool -> Backend.t -> t
 end
 
 (** What the specializing backends add to an outcome: the partially
@@ -97,8 +104,7 @@ type spec = {
   spec_stats : F.Specialize.stats;
 }
 
-(** Everything the full pipeline produces for one program — the same
-    shape {!Pipeline.outcome} always had. *)
+(** Everything the full pipeline produces for one program. *)
 type outcome = {
   source : string;
   ast : Ast.exp;
@@ -128,20 +134,14 @@ val of_config : ?cache:Unit.cache -> Config.t -> t
 (** The session's configuration (its creation-time [Config.t]). *)
 val config : t -> Config.t
 
-(** [create ?prelude ()] — optional-argument shim over {!of_config}.
-    @deprecated Build a {!Config.t} and call {!of_config}. *)
-val create :
-  ?resolution:Resolution.mode -> ?escape_check:bool -> ?prelude:string ->
-  ?cache:Unit.cache -> ?unit_cache_capacity:int ->
-  unit -> t
-
-(** A session preloaded with the standard prelude ({!Prelude.full}).
-    @deprecated Use {!Config.with_standard_prelude} and {!of_config}. *)
-val with_prelude : ?resolution:Resolution.mode -> unit -> t
+(** [memo cache] — a session lookup over one shared unit cache: the
+    first call with a config builds its session ({!of_config}
+    [~cache]), later calls with an equal config return that session
+    warm.  Not synchronized; a server worker or a workspace owns one
+    and serializes its calls. *)
+val memo : Unit.cache -> Config.t -> t
 
 val backend : t -> Backend.t
-val resolution : t -> Resolution.mode
-val prelude_source : t -> string option
 
 (** [extend t decls] — a session whose scope additionally contains
     [decls] (a declaration stack), checked incrementally on top of
@@ -154,8 +154,7 @@ val extend_result : t -> string -> (t, Diag.diagnostic) result
 (** {1 Per-program operations}
 
     All of these parse their argument, check it under the session
-    environment, and raise {!Diag.Error} on failure, exactly like the
-    corresponding one-shot {!Pipeline} entry points. *)
+    environment, and raise {!Diag.Error} on failure. *)
 
 (** Full pipeline: check, translate, verify the theorem, evaluate both
     semantics and require agreement. *)
@@ -182,14 +181,16 @@ type run_report = {
 val run_full : ?file:string -> ?fuel:int -> t -> string -> run_report
 
 (** {!run_full} plus the raw material a workspace language service
-    needs: the walked declaration log (pairing every program
-    declaration with its unit pkey and hit/checked/failed outcome) and
-    the position-index entries ({!Check.index_entry}) recorded while
-    checking.  The report is computed by the same code path as
-    {!run_full}, so its rendered diagnostics are byte-identical to a
-    plain run of the same source. *)
+    needs: the program's recovering parse, the walked declaration log
+    (pairing every program declaration with its unit pkey and
+    hit/checked/failed outcome) and the position-index entries
+    ({!Check.index_entry}) recorded while checking.  The report is
+    computed by the same code path as {!run_full}, so its rendered
+    diagnostics are byte-identical to a plain run of the same
+    source. *)
 type indexed_run = {
   ix_report : run_report;
+  ix_ast : Ast.exp;  (** the recovering parse of the source *)
   ix_decls : (Ast.exp * string * Unit.decl_outcome) list;
   ix_entries : Check.index_entry list;  (** in recording order *)
 }
@@ -208,9 +209,6 @@ val elaborate : ?file:string -> t -> string -> Ast.ty * Ast.exp * F.Ast.exp
 
 (** Theorem check (Theorems 1/2) without evaluation. *)
 val verify : ?file:string -> t -> string -> Theorems.report
-
-(** Direct interpretation only (of the elaborated program). *)
-val interpret : ?file:string -> ?fuel:int -> t -> string -> Interp.value
 
 (** {1 Parallel batch verification} *)
 
@@ -237,9 +235,6 @@ val stats : t -> Telemetry.snapshot
 
 (** Distinct hash-consed types interned by this session. *)
 val interned_types : t -> int
-
-(** The session's compilation-unit cache (shared or private). *)
-val unit_cache : t -> Unit.cache
 
 (** Unit-cache counters: hits, misses, evictions, invalidations, size. *)
 val cache_stats : t -> Unit.stats

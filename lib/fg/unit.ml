@@ -39,6 +39,8 @@ module Sset = Names.Sset
 
 type triple = Ast.ty * Ast.exp * F.Ast.exp
 
+let p_recover_poison = Coverage.probe "recover.check.poison"
+
 type checked = {
   ck_key : string;
   ck_pkey : string;
@@ -115,6 +117,9 @@ let stats c =
     s_size = Atomic.get c.size;
     s_capacity = c.capacity;
   }
+
+let live_pkeys c =
+  Hashtbl.fold (fun _ e s -> Sset.add e.e_unit.ck_pkey s) c.tbl Sset.empty
 
 let tick c =
   c.tick <- c.tick + 1;
@@ -480,6 +485,7 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~(spine : checked list) env0
               match recover with
               | None -> raise (Diag.Error d)
               | Some engine ->
+                  Coverage.hit p_recover_poison;
                   if not (Check.is_cascade !poisoned d) then
                     Diag.report engine d;
                   poisoned :=

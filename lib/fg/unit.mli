@@ -83,6 +83,10 @@ type stats = {
 (** Counter snapshot; safe to call from any domain. *)
 val stats : cache -> stats
 
+(** The portable keys of the units the memory tier holds right now.
+    Owner domain only, like every other read of the table. *)
+val live_pkeys : cache -> Sset.t
+
 (** [invalidate cache ~protect ~seeds] removes the entries named by
     [seeds] and everything transitively depending on them, except keys
     in [protect] (a session's live spine).  Returns the number of
@@ -102,8 +106,8 @@ type walk_result = {
   w_env : Env.t;  (** environment after the whole spine *)
   w_residual : exp;  (** first non-declaration expression *)
   w_wrap : triple -> triple;
-      (** rebuilds the program's triple from the residual's, exactly as
-          {!Check.check_prefix} composes declaration wrappers *)
+      (** rebuilds the program's triple from the residual's by
+          composing every checked declaration's wrapper *)
   w_units : checked list;  (** this walk's units, in spine order *)
   w_decls : (exp * string * decl_outcome) list;
       (** one entry per walked declaration, in order: the declaration
@@ -117,14 +121,15 @@ type walk_result = {
     through [cache].  [spine] holds the already-checked units the
     session's history put in scope of [env] (their keys seed the
     dependency chain; their declarations are NOT re-walked).  Without
-    [?recover], the first failing declaration raises [Diag.Error], as
-    {!Check.check_prefix} would.  With [?recover:engine], failures are
-    reported to [engine] (cascade-suppressed via [?poisoned], as
-    {!Check.check_prefix_recovering}) and — because a skipped
-    declaration leaves every later unit's scope unknowable — all
-    subsequent units bypass the cache entirely, reproducing the cold
-    recovering walk byte-for-byte.  Only successfully checked units are
-    ever cached. *)
+    [?recover], the first failing declaration raises [Diag.Error].
+    With [?recover:engine], a failing declaration is reported to
+    [engine] (suppressed as a cascade when it mentions a name in
+    [?poisoned] — see {!Check.is_cascade}), its bindings are poisoned
+    instead of made, the [recover.check.poison] coverage probe fires,
+    and — because a skipped declaration leaves every later unit's scope
+    unknowable — all subsequent units bypass the cache entirely,
+    reproducing the cold recovering walk byte-for-byte.  Only
+    successfully checked units are ever cached. *)
 val walk :
   ?recover:Fg_util.Diag.engine ->
   ?poisoned:Sset.t ->

@@ -20,7 +20,7 @@ type t = {
       (** one compilation-unit cache shared by every session this
           worker owns: bounded memory and unified counters across all
           served configurations *)
-  mutable sessions : (C.Session.Config.t * C.Session.t) list;
+  session_for : C.Session.Config.t -> C.Session.t;  (** over [cache] *)
 }
 
 (* ---------------------------------------------------------------- *)
@@ -132,11 +132,8 @@ let peer_store peers =
   }
 
 let create ?fuel ?disk ?(peers = []) ?unit_cache_capacity ?profile () =
-  let t =
-    { fuel; profile;
-      cache = C.Unit.create_cache ?capacity:unit_cache_capacity ();
-      sessions = [] }
-  in
+  let cache = C.Unit.create_cache ?capacity:unit_cache_capacity () in
+  let t = { fuel; profile; cache; session_for = C.Session.memo cache } in
   let stores =
     (match disk with None -> [] | Some d -> [ C.Unit.disk_store d ])
     @
@@ -153,36 +150,13 @@ let create ?fuel ?disk ?(peers = []) ?unit_cache_capacity ?profile () =
   (match stores with [] -> () | _ -> C.Unit.set_stores t.cache stores);
   t
 
-let config_of ?profile ~prelude ~global_models ~backend () =
-  let module Cfg = C.Session.Config in
-  let cfg =
-    Cfg.default
-    |> Cfg.with_resolution
-         (if global_models then C.Resolution.Global else C.Resolution.Lexical)
-    |> Cfg.with_backend backend
-    (* Only guided sessions are keyed on the profile: other backends
-       ignore it, and folding it into their keys would split otherwise
-       identical warm sessions for nothing. *)
-    |> Cfg.with_profile
-         (if backend = C.Backend.Guided then profile else None)
-  in
-  if prelude then Cfg.with_standard_prelude cfg else cfg
-
-let session_for t cfg =
-  match List.assoc_opt cfg t.sessions with
-  | Some s -> s
-  | None ->
-      let s = C.Session.of_config ~cache:t.cache cfg in
-      t.sessions <- (cfg, s) :: t.sessions;
-      s
-
 let cache_stats t = C.Unit.stats t.cache
 
 let warm t =
   ignore
-    (session_for t
-       (config_of ~prelude:true ~global_models:false
-          ~backend:C.Backend.Dict ()))
+    (t.session_for
+       (C.Session.Config.make ~prelude:true ~global_models:false
+          C.Backend.Dict))
 
 (* The check/translate payloads mirror the run payload's envelope
    ({"file", "ok", ..., "diagnostics"}) so clients can switch on the
@@ -239,9 +213,9 @@ let handle t (req : Protocol.request) : Protocol.status * string =
         | None -> t.profile
       in
       let s =
-        session_for t
-          (config_of ?profile ~prelude:req.prelude
-             ~global_models:req.global_models ~backend:req.backend ())
+        t.session_for
+          (C.Session.Config.make ?profile ~prelude:req.prelude
+             ~global_models:req.global_models req.backend)
       in
       match req.kind with
       | Protocol.Check ->

@@ -215,5 +215,3 @@ let run ?(fuel = default_fuel) e =
   (v, fuel - st.fuel)
 
 let run_value ?fuel e = fst (run ?fuel e)
-
-let run_result ?fuel e = Diag.protect (fun () -> run ?fuel e)

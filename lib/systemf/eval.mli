@@ -33,4 +33,3 @@ val value_equal : value -> value -> bool
 val run : ?fuel:int -> exp -> value * int
 
 val run_value : ?fuel:int -> exp -> value
-val run_result : ?fuel:int -> exp -> (value * int, Fg_util.Diag.diagnostic) result

@@ -132,10 +132,11 @@ type t = {
   m : Mutex.t;
   fuel : int option;
   cache : C.Unit.cache;  (** shared by every session below *)
-  mutable sessions : (C.Session.Config.t * C.Session.t) list;
+  session_for : C.Session.Config.t -> C.Session.t;
   docs : (string, doc) Hashtbl.t;
   frags : (string, C.Check.index_entry list) Hashtbl.t;
-      (** pkey -> entries with decl-relative byte offsets *)
+      (** pkey -> entries with decl-relative byte offsets, for the
+          units [cache] still holds *)
   h_open : Telemetry.Histogram.t;
   h_change : Telemetry.Histogram.t;
   h_close : Telemetry.Histogram.t;
@@ -146,11 +147,12 @@ type t = {
 }
 
 let create ?fuel () =
+  let cache = C.Unit.create_cache () in
   {
     m = Mutex.create ();
     fuel;
-    cache = C.Unit.create_cache ();
-    sessions = [];
+    cache;
+    session_for = C.Session.memo cache;
     docs = Hashtbl.create 16;
     frags = Hashtbl.create 256;
     h_open = Telemetry.Histogram.create ();
@@ -161,24 +163,6 @@ let create ?fuel () =
     h_definition = Telemetry.Histogram.create ();
     h_completion = Telemetry.Histogram.create ();
   }
-
-let config_of ~prelude ~global_models ~backend =
-  let module Cfg = C.Session.Config in
-  let cfg =
-    Cfg.default
-    |> Cfg.with_resolution
-         (if global_models then C.Resolution.Global else C.Resolution.Lexical)
-    |> Cfg.with_backend backend
-  in
-  if prelude then Cfg.with_standard_prelude cfg else cfg
-
-let session_for t cfg =
-  match List.assoc_opt cfg t.sessions with
-  | Some s -> s
-  | None ->
-      let s = C.Session.of_config ~cache:t.cache cfg in
-      t.sessions <- (cfg, s) :: t.sessions;
-      s
 
 let unknown_doc name =
   {
@@ -211,18 +195,14 @@ let shift_entry d = function
    every declaration extent (the residual body, which is checked every
    time) pass through directly. *)
 let check_doc t doc =
-  let sess = session_for t doc.d_cfg in
+  let sess = t.session_for doc.d_cfg in
   let ir =
     C.Session.run_indexed ~file:doc.d_name ?fuel:t.fuel sess doc.d_text
   in
   doc.d_payload <-
     Json.to_string
       (C.Jsonview.json_of_run_report ~file:doc.d_name ir.C.Session.ix_report);
-  (let engine = Diag.engine () in
-   let ast, _dropped =
-     C.Parser.exp_of_string_recovering ~engine ~file:doc.d_name doc.d_text
-   in
-   doc.d_ast <- ast);
+  doc.d_ast <- ir.C.Session.ix_ast;
   (* Declaration extents: a declaration node spans its own syntax
      (header through the trailing "in"), never the body that follows
      it, so [start, end) of its span is exactly its unit's extent. *)
@@ -299,7 +279,14 @@ let check_doc t doc =
   List.iter
     (fun e -> entries := (next (), e) :: !entries)
     (List.rev !body);
-  doc.d_index <- index_of_entries (List.rev !entries)
+  doc.d_index <- index_of_entries (List.rev !entries);
+  (* A fragment is needed only while its unit is cached: a unit the
+     cache evicted or invalidated comes back only through a fresh
+     check, which records its fragment anew. *)
+  let live = C.Unit.live_pkeys t.cache in
+  Hashtbl.filter_map_inplace
+    (fun pkey frag -> if Names.Sset.mem pkey live then Some frag else None)
+    t.frags
 
 (* ---------------------------------------------------------------- *)
 (* Lifecycle                                                         *)
@@ -320,7 +307,7 @@ let with_doc t name f =
 
 let open_doc t ~name ~version ~prelude ~global_models ~backend text =
   timed t.h_open t (fun () ->
-      let cfg = config_of ~prelude ~global_models ~backend in
+      let cfg = C.Session.Config.make ~prelude ~global_models backend in
       let doc =
         match Hashtbl.find_opt t.docs name with
         | Some d when d.d_cfg = cfg ->
@@ -673,9 +660,9 @@ let completion t ~name ~offset =
 (* ---------------------------------------------------------------- *)
 (* Observability                                                     *)
 
-let docs_count t =
+let fragment_count t =
   Mutex.lock t.m;
-  let n = Hashtbl.length t.docs in
+  let n = Hashtbl.length t.frags in
   Mutex.unlock t.m;
   n
 

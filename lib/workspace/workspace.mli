@@ -98,8 +98,10 @@ val definition :
 val completion :
   t -> name:string -> offset:int -> (string, ws_error) result
 
-(** Open documents right now. *)
-val docs_count : t -> int
+(** Stored per-unit index fragments.  A fragment lives only as long as
+    its unit stays in the workspace's unit cache, so this never exceeds
+    the cache's size, however many documents open and close. *)
+val fragment_count : t -> int
 
 (** The [{"docs", "open", "change", "close", "diagnostics", "hover",
     "definition", "completion"}] stats object: document count plus one

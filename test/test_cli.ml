@@ -375,6 +375,67 @@ let test_backend_flag () =
   Alcotest.(check bool) "fuzz names FG1001" true
     (Astring_contains.contains ~needle:"FG1001" out)
 
+(* The options each program-driving subcommand lists in its plain help,
+   pinned: the session term these commands share must neither add nor
+   drop a flag on any of them. *)
+let options_of cmd =
+  let code, out = run_cmd (cmd ^ " --help=plain") ~stdin_text:"" in
+  Alcotest.(check int) (cmd ^ " --help exit") 0 code;
+  let flags line =
+    String.split_on_char ' ' (String.trim line)
+    |> List.filter_map (fun w ->
+           if String.length w > 1 && w.[0] = '-' then
+             Some (List.hd (String.split_on_char '=' w))
+           else None)
+    |> List.map (fun w -> String.concat "" (String.split_on_char ',' w))
+    |> String.concat " "
+  in
+  let rec scan in_options acc = function
+    | [] -> List.rev acc
+    | line :: rest -> (
+        match String.trim line with
+        | "OPTIONS" -> scan true acc rest
+        | "COMMON OPTIONS" -> List.rev acc
+        | t when in_options && String.length t > 0 && t.[0] = '-'
+                 && String.length line - String.length t = 7 ->
+            scan in_options (flags line :: acc) rest
+        | _ -> scan in_options acc rest)
+  in
+  scan false [] (String.split_on_char '\n' out)
+
+let test_option_sets () =
+  let session = [ "--backend"; "--cache-dir"; "--cache-max-bytes" ] in
+  List.iter
+    (fun (cmd, expected) ->
+      Alcotest.(check (list string)) (cmd ^ " options") expected
+        (options_of cmd))
+    [
+      ( "check",
+        session @ [ "-e --expr"; "--global-models"; "-p --prelude"; "--stats" ]
+      );
+      ( "translate",
+        session
+        @ [ "-e --expr"; "--global-models"; "-p --prelude"; "--stats";
+            "-t --type" ] );
+      ( "run",
+        session
+        @ [ "-e --expr"; "--format"; "--global-models"; "-p --prelude";
+            "--profile"; "--profile-out"; "--stats"; "-v --verbose" ] );
+      ( "elaborate",
+        [ "-e --expr"; "--global-models"; "-p --prelude"; "--stats" ] );
+      ( "verify",
+        [ "-e --expr"; "--format"; "--global-models"; "-p --prelude";
+          "--stats" ] );
+      ( "batch",
+        session
+        @ [ "--format"; "--global-models"; "-j --domains"; "-p --prelude";
+            "--profile"; "--profile-out"; "--stats" ] );
+      ( "corpus",
+        "--all" :: session
+        @ [ "--format"; "-j --domains"; "--profile"; "--profile-out";
+            "--stats" ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "run" `Quick test_run;
@@ -404,4 +465,6 @@ let suite =
     Alcotest.test_case "repl session" `Quick test_repl_session;
     Alcotest.test_case "repl using commits" `Quick test_repl_using;
     Alcotest.test_case "--backend flag" `Quick test_backend_flag;
+    Alcotest.test_case "option sets of the driving commands" `Quick
+      test_option_sets;
   ]

@@ -8,7 +8,7 @@ open Fg_core
 let run_entry (e : Corpus.entry) () =
   match e.expected with
   | Corpus.Value expect -> (
-      match Pipeline.run_result ~file:e.name e.source with
+      match Session.run_result ~file:e.name (Fresh.session ()) e.source with
       | Ok out ->
           Alcotest.(check string)
             (e.name ^ " value")
@@ -17,7 +17,7 @@ let run_entry (e : Corpus.entry) () =
           Alcotest.(check bool) (e.name ^ " theorem") true out.theorem_holds
       | Error d -> Alcotest.failf "%s failed: %s" e.name (Fg_util.Diag.to_string d))
   | Corpus.Fails phase -> (
-      match Pipeline.run_result ~file:e.name e.source with
+      match Session.run_result ~file:e.name (Fresh.session ()) e.source with
       | Ok out ->
           Alcotest.failf "%s unexpectedly succeeded with %s" e.name
             (Interp.flat_to_string out.value)
@@ -28,12 +28,12 @@ let run_entry (e : Corpus.entry) () =
 
 (* A few spot checks that corpus entries assert what the paper says. *)
 let test_fig6_values () =
-  let out = Pipeline.run Corpus.fig6_overlap.source in
+  let out = Session.run (Fresh.session ()) Corpus.fig6_overlap.source in
   Alcotest.(check string) "paper's (3, 2)" "(3, 2)"
     (Interp.flat_to_string out.value)
 
 let test_fig5_type () =
-  let ty = Pipeline.typecheck Corpus.fig5_accumulate.source in
+  let ty = Session.typecheck (Fresh.session ()) Corpus.fig5_accumulate.source in
   Alcotest.(check string) "program type" "int" (Pretty.ty_to_string ty)
 
 let test_accumulate_type_generic () =
@@ -50,7 +50,7 @@ let test_merge_type_generic () =
     Corpus.merge_example.source
   in
   (* just check the whole program's type *)
-  let ty = Pipeline.typecheck src in
+  let ty = Session.typecheck (Fresh.session ()) src in
   Alcotest.(check string) "program type" "list int" (Pretty.ty_to_string ty)
 
 let test_corpus_is_self_consistent () =

@@ -6,7 +6,7 @@
 open Fg_core
 
 let diag_of src =
-  match Pipeline.run_result ~file:"golden" src with
+  match Session.run_result ~file:"golden" (Fresh.session ()) src with
   | Ok _ -> Alcotest.failf "%s: expected failure" src
   | Error d -> Fg_util.Diag.to_string d
 
@@ -63,7 +63,10 @@ let test_overlap_global () =
 model N<int> { m = 1; } in
 model N<int> { m = 2; } in 0|}
   in
-  match Pipeline.run_result ~resolution:Resolution.Global ~file:"golden" src with
+  match
+    Session.run_result ~file:"golden"
+      (Fresh.session ~resolution:Resolution.Global ()) src
+  with
   | Ok _ -> Alcotest.fail "expected overlap rejection"
   | Error d ->
       Alcotest.(check string) "overlap message"

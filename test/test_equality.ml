@@ -201,6 +201,45 @@ let prop_repr_idempotent =
       | Ok (r1, r2) -> A.ty_equal r1 r2
       | Error _ -> QCheck.assume_fail () (* cyclic assumption set *))
 
+(* [Equality.empty] is the context every environment starts from, on
+   every domain: four domains querying it at once must answer exactly
+   as one domain does.  The domains go first, so they intern types no
+   closure has seen yet.  (Forall-free types, whose answers do not
+   depend on which alpha-variant a closure met first.) *)
+let test_empty_across_domains () =
+  let rec gen depth i : A.ty =
+    if depth = 0 then
+      match i mod 5 with
+      | 0 -> A.TBase A.TInt
+      | 1 -> A.TBase A.TBool
+      | 2 -> A.TVar "a"
+      | 3 -> A.TVar "b"
+      | _ -> A.TBase A.TUnit
+    else
+      let sub k = gen (depth - 1) ((i / 4) + k) in
+      match i mod 4 with
+      | 0 -> A.TList (sub 0)
+      | 1 -> A.TArrow ([ sub 0 ], sub 1)
+      | 2 -> A.TTuple [ sub 0; sub 2 ]
+      | _ -> A.TAssoc ("C", [ sub 0 ], "s")
+  in
+  let n = 5000 in
+  let tys = Array.init n (fun i -> gen (1 + (i mod 4)) (i * 7919)) in
+  let answers () =
+    List.init n (fun i ->
+        let t = tys.(i) and u = tys.(((i * 31) + 7) mod n) in
+        ( Equality.equal Equality.empty t u,
+          Pretty.ty_to_string (Equality.repr Equality.empty t) ))
+  in
+  let concurrent =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn answers))
+  in
+  let sequential = answers () in
+  List.iter
+    (Alcotest.(check (list (pair bool string)))
+       "domain answers = sequential answers" sequential)
+    concurrent
+
 let suite =
   [
     Alcotest.test_case "syntactic equality" `Quick test_syntactic;
@@ -222,6 +261,8 @@ let suite =
     Alcotest.test_case "assumptions listing" `Quick test_assumptions_listing;
     Alcotest.test_case "tuple arities distinct" `Quick test_tuple_arity;
     Alcotest.test_case "class count" `Quick test_class_count;
+    Alcotest.test_case "empty context across 4 domains" `Quick
+      test_empty_across_domains;
     QCheck_alcotest.to_alcotest prop_reflexive;
     QCheck_alcotest.to_alcotest prop_symmetric;
     QCheck_alcotest.to_alcotest prop_assumed_holds;

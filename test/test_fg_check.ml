@@ -229,7 +229,7 @@ let test_inner_model_wins () =
 model Semigroup<int> { binary_op = imult; } in
 Semigroup<int>.binary_op(2, 3)|}
   in
-  let out = Pipeline.run src in
+  let out = Session.run (Fresh.session ()) src in
   Alcotest.(check string) "inner model used" "6"
     (Interp.flat_to_string out.value)
 

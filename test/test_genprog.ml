@@ -8,7 +8,10 @@ let check_family name family sizes expected_of =
   List.iter
     (fun n ->
       let src = family n in
-      match Pipeline.run_result ~file:(Printf.sprintf "%s/%d" name n) src with
+      match
+        Session.run_result ~file:(Printf.sprintf "%s/%d" name n)
+          (Fresh.session ()) src
+      with
       | Ok out ->
           Alcotest.(check string)
             (Printf.sprintf "%s n=%d" name n)
@@ -50,7 +53,7 @@ let test_workloads_agree () =
      monomorphic F) compute the same sum *)
   let n = 25 in
   let expected = string_of_int (n * (n - 1) / 2) in
-  let fg = Pipeline.run (Genprog.accumulate_workload n) in
+  let fg = Session.run (Fresh.session ()) (Genprog.accumulate_workload n) in
   Alcotest.(check string) "FG workload" expected
     (Interp.flat_to_string fg.value);
   let f_ho =

@@ -49,7 +49,7 @@ let test_files_run () =
                else Alcotest.failf "%s: malformed header" f
            | _ -> Alcotest.failf "%s: malformed header" f
          in
-         match Pipeline.run_result ~file:f src with
+         match Session.run_result ~file:f (Fresh.session ()) src with
          | Ok out ->
              Alcotest.(check string) f expected
                (Interp.flat_to_string out.value)

@@ -7,7 +7,7 @@ open Fg_core
 module Diag = Fg_util.Diag
 
 let report_of ?resolution src =
-  Pipeline.run_full ~file:"rec" ?resolution src
+  Session.run_full ~file:"rec" (Fresh.session ?resolution ()) src
 
 let codes_of (r : Session.run_report) =
   List.map (fun (d : Diag.diagnostic) -> d.code) r.diagnostics
@@ -143,7 +143,7 @@ let test_clean_program_agrees () =
   let src = "let x = 6 in x * 7" in
   let r = report_of src in
   Alcotest.(check (list string)) "no diagnostics" [] (codes_of r);
-  match (r.Session.outcome, Pipeline.run_result src) with
+  match (r.Session.outcome, Session.run_result (Fresh.session ()) src) with
   | Some a, Ok b ->
       Alcotest.(check bool) "same value" true
         (Interp.flat_equal a.Session.value b.Session.value)
@@ -155,6 +155,18 @@ let test_garbage_terminates () =
   Alcotest.(check bool) "errors reported" true
     (List.length (errors_of r) > 0);
   Alcotest.(check bool) "no outcome" true (r.Session.outcome = None)
+
+(* Poisoning a failed declaration is a decision point the guided fuzzer
+   steers by: one ill-typed declaration fires [recover.check.poison]
+   exactly once. *)
+let test_poison_probe () =
+  let module Coverage = Fg_util.Coverage in
+  let before = Coverage.snapshot () in
+  let r = report_of "let x = 1 + true in\nlet y = 2 in\ny" in
+  Alcotest.(check (list string)) "one error" [ "FG0303" ] (codes_of r);
+  let hits = Coverage.diff (Coverage.snapshot ()) before in
+  Alcotest.(check int) "recover.check.poison hit once" 1
+    (Option.value ~default:0 (List.assoc_opt "recover.check.poison" hits))
 
 let suite =
   [
@@ -172,4 +184,6 @@ let suite =
     Alcotest.test_case "clean program agrees" `Quick
       test_clean_program_agrees;
     Alcotest.test_case "garbage terminates" `Quick test_garbage_terminates;
+    Alcotest.test_case "poisoned declaration hits its probe" `Quick
+      test_poison_probe;
   ]

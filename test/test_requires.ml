@@ -7,13 +7,13 @@
 open Fg_core
 
 let check src expected =
-  match Pipeline.run_result ~file:"requires" src with
+  match Session.run_result ~file:"requires" (Fresh.session ()) src with
   | Ok out ->
       Alcotest.(check string) src expected (Interp.flat_to_string out.value)
   | Error d -> Alcotest.failf "%s: %s" src (Fg_util.Diag.to_string d)
 
 let check_fails src phase fragment =
-  match Pipeline.run_result ~file:"requires" src with
+  match Session.run_result ~file:"requires" (Fresh.session ()) src with
   | Ok out ->
       Alcotest.failf "%s: expected failure, got %s" src
         (Interp.flat_to_string out.value)

@@ -6,7 +6,7 @@ open Fg_core
 let lexical = Resolution.Lexical
 let global = Resolution.Global
 
-let run ?resolution src = Pipeline.run_result ?resolution src
+let run ?resolution src = Session.run_result (Fresh.session ?resolution ()) src
 
 let test_fig6_lexical_ok_global_rejected () =
   (* the paper's Figure 6 program *)

@@ -34,7 +34,9 @@ let test_session_matches_pipeline () =
   List.iter
     (fun body ->
       let from_session = Session.run ~file:"t" s body in
-      let fresh = Pipeline.run ~file:"t" (Prelude.wrap body) in
+      let fresh =
+        Session.run ~file:"t" (Fresh.session ()) (Prelude.wrap body)
+      in
       check_outcome_equal body from_session fresh)
     [
       Printf.sprintf "accumulate[int](%s)" (l [ 1; 2; 3 ]);
@@ -382,6 +384,44 @@ let test_prelude_must_be_declarations () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-declaration prelude accepted"
 
+(* The dependency sets that key every unit, pinned on one spine that
+   exercises each rule: a shadowing rebinding depends on the binding it
+   shadows, references go to the latest provider only (unit 8 needs the
+   second [x], not the first), a constrained generic consults every
+   earlier model of its concepts, and under Global resolution every
+   model declaration couples to the earlier ones. *)
+let test_declgraph_rules () =
+  let src =
+    "concept C<t> { f : fn(t) -> t; } in\n\
+     concept D<t> { h : t; } in\n\
+     model D<int> { h = 0; } in\n\
+     let x = 1 in\n\
+     model C<int> { f = fun (y : int) => y; } in\n\
+     let y = x in\n\
+     let x = 2 in\n\
+     let g = tfun t where C<t> => fun (v : t) => C<t>.f(v) in\n\
+     let z = y + x in\n\
+     model m = C<bool> { f = fun (b : bool) => b; } in\n\
+     using m in\n\
+     let w = g[int](z) in\n\
+     w"
+  in
+  let decls, _ = Unit.split_spine (Parser.exp_of_string src) in
+  let deps global =
+    Array.to_list
+      (Declgraph.build ~global
+         (Array.of_list (List.map Declgraph.info_of_decl decls)))
+  in
+  Alcotest.(check (list (list int))) "lexical"
+    [ []; []; [ 1 ]; []; [ 0 ]; [ 3 ]; [ 3 ]; [ 0; 4; 5; 6 ]; [ 5; 6 ];
+      [ 0; 4; 5; 6 ]; [ 0; 4; 5; 6; 9 ]; [ 0; 4; 5; 6; 7; 8; 9; 10 ] ]
+    (deps false);
+  Alcotest.(check (list (list int))) "global"
+    [ []; []; [ 1 ]; []; [ 0; 1; 2 ]; [ 3 ]; [ 3 ]; [ 0; 1; 2; 4; 5; 6 ];
+      [ 5; 6 ]; [ 0; 1; 2; 4; 5; 6 ]; [ 0; 1; 2; 4; 5; 6; 9 ];
+      [ 0; 1; 2; 4; 5; 6; 7; 8; 9; 10 ] ]
+    (deps true)
+
 let suite =
   [
     Alcotest.test_case "session run = pipeline run" `Quick
@@ -415,4 +455,5 @@ let suite =
       test_stats_and_interning;
     Alcotest.test_case "prelude must be declarations" `Quick
       test_prelude_must_be_declarations;
+    Alcotest.test_case "declaration graph rules" `Quick test_declgraph_rules;
   ]

@@ -259,6 +259,60 @@ let test_hover_survives_edit_of_other_decl () =
       Alcotest.(check string) "member type after edit" "fn(t, t) -> t" ty
   | _ -> Alcotest.failf "hover lost after unrelated edit: %s" payload
 
+(* Fragments follow the unit cache.  A 60-declaration dependent chain
+   edited at its root re-checks every unit per edit, so a few rounds of
+   open, edits and close overflow the 512-unit cache; the stored
+   fragments must never outnumber the units the cache still holds. *)
+let chain_program ~root =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Printf.sprintf "let x0 = %d in\n" root);
+  for i = 1 to 59 do
+    Buffer.add_string b (Printf.sprintf "let x%d = x%d + 1 in\n" i (i - 1))
+  done;
+  Buffer.add_string b "x59";
+  Buffer.contents b
+
+let test_fragments_bounded_by_cache () =
+  let ws = W.create () in
+  for round = 0 to 3 do
+    ignore (ok (open_doc ws ~name:"c.fg" ~version:1 (chain_program ~root:0)));
+    for edit = 1 to 4 do
+      ignore
+        (ok
+           (W.change_doc ws ~name:"c.fg" ~version:(edit + 1)
+              (W.Full_text (chain_program ~root:((10 * round) + edit)))))
+    done;
+    ignore (ok (W.close_doc ws ~name:"c.fg"));
+    let size = (W.cache_stats ws).Unit.s_size in
+    if W.fragment_count ws > size then
+      Alcotest.failf "round %d: %d fragments for %d cached units" round
+        (W.fragment_count ws) size
+  done;
+  Alcotest.(check bool) "the rounds overflowed the cache" true
+    ((W.cache_stats ws).Unit.s_evictions > 0)
+
+(* Re-opening a closed document replays every declaration from the
+   cache; hover inside a declaration still answers from the replayed
+   fragment. *)
+let test_hover_after_close_and_reopen () =
+  let ws = W.create () in
+  let off =
+    47 + String.length "let square = tfun t where Number<t> => fun (x : t) => "
+  in
+  let hover () =
+    match field (ok (W.hover ws ~name:"h.fg" ~offset:off)) "type" with
+    | Some (Json.Str ty) -> ty
+    | _ -> Alcotest.fail "no type in hover payload"
+  in
+  ignore (ok (open_doc ws ~name:"h.fg" ~version:1 hover_program));
+  let before = hover () in
+  ignore (ok (W.close_doc ws ~name:"h.fg"));
+  let misses = (W.cache_stats ws).Unit.s_misses in
+  ignore (ok (open_doc ws ~name:"h.fg" ~version:1 hover_program));
+  Alcotest.(check int) "re-open replays every declaration" misses
+    (W.cache_stats ws).Unit.s_misses;
+  Alcotest.(check string) "hover after re-open" before (hover ())
+
 let test_definition () =
   let ws = W.create () in
   ignore (ok (open_doc ws ~name:"d.fg" ~version:1 hover_program));
@@ -350,4 +404,8 @@ let suite =
     Alcotest.test_case "completion: decls, concepts, members" `Quick
       test_completion;
     Alcotest.test_case "stats JSON shape" `Quick test_stats_shape;
+    Alcotest.test_case "index fragments bounded by the unit cache" `Quick
+      test_fragments_bounded_by_cache;
+    Alcotest.test_case "hover after close and re-open" `Quick
+      test_hover_after_close_and_reopen;
   ]

@@ -309,3 +309,17 @@ cmp -s "$dict_out" "$guided_out" \
 "$fgc" fuzz --seed 7 --count 1000 --backend=guided --profile "$fuzzprof"
 echo "-- zipf loadgen: profile-guided serve must beat the default config"
 LOADGEN_MODE=zipf LOADGEN_ZIPF_REQUESTS=2400 dune exec bench/loadgen.exe
+
+echo "== perfbench-smoke (every benchmark workload: correct, 0 failed)"
+# Two seconds per workload through the benchmark's own entry point,
+# which builds fgc and the harness from this checkout and drives the
+# library API the workloads call: drift that would break the benchmark
+# fails here.  The last stdout line is the workload's JSON result.
+for w in serve_corpus serve_zipf compile_scale edit_long; do
+  last=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 2 \
+    --trace 0 2>/dev/null | tail -n 1)
+  case "$last" in
+  *'"correct": true'*'"failed": 0,'*) echo "-- $w: ok" ;;
+  *) echo "perfbench-smoke: $w: $last"; exit 1 ;;
+  esac
+done
