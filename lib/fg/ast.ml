@@ -237,8 +237,15 @@ and subst_constr s = function
 let subst_of_list pairs =
   List.fold_left (fun m (a, u) -> Smap.add a u m) Smap.empty pairs
 
-let subst_ty_list pairs t = subst_ty (subst_of_list pairs) t
-let subst_constr_list pairs c = subst_constr (subst_of_list pairs) c
+(* The map is built once per partial application, so
+   [List.map (subst_ty_list s)] builds one map for the whole list. *)
+let subst_ty_list pairs =
+  let s = subst_of_list pairs in
+  fun t -> subst_ty s t
+
+let subst_constr_list pairs =
+  let s = subst_of_list pairs in
+  fun c -> subst_constr s c
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic equality (alpha for foralls; no same-type reasoning)      *)

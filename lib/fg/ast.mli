@@ -117,8 +117,15 @@ val constr_concept_names : constr -> Sset.t
 val subst_ty : ty Smap.t -> ty -> ty
 
 val subst_constr : ty Smap.t -> constr -> constr
+
+(** The substitution of an association list; on a repeated key the
+    last binding wins. *)
 val subst_of_list : (string * ty) list -> ty Smap.t
+
+(** [subst_ty_list pairs] builds the map once, so a partial application
+    can be reused across many types. *)
 val subst_ty_list : (string * ty) list -> ty -> ty
+
 val subst_constr_list : (string * ty) list -> constr -> constr
 
 (** Syntactic equality of types, alpha for [forall]s (no same-type

@@ -588,9 +588,10 @@ and elaborate_tyapp env ~loc ((tf_repr : ty), (f' : F.exp)) (tys : ty list) :
       let s = List.combine fresh_tvs tys in
       let s_orig = List.combine tvs tys in
       (* Check the instantiated where clause. *)
+      let inst = subst_constr_list s in
       List.iter
         (fun constr ->
-          match subst_constr_list s constr with
+          match inst constr with
           | CModel (c, args) -> (
               match Env.lookup_model ~loc env c args with
               | Some _ -> record_index (Imodel (loc, c, args))

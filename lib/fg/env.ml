@@ -46,6 +46,24 @@ type model_entry = {
     models, the matching substitution for its parameters. *)
 type found_model = { fm_entry : model_entry; fm_subst : (string * ty) list }
 
+(** A concept instantiated at argument types: [ba(c, τ̄)] and everything
+    else the checker substitutes under it.  {!Types} computes it once per
+    (concept, arguments) and memoizes it in {!t.instantiations}. *)
+type instantiation = {
+  in_concepts : concept_decl Smap.t;
+      (** the concept table it was computed under: it answers only
+          lookups under the physically same table, since a refined
+          concept may be shadowed in between *)
+  in_gen : int;  (** the scope generation it was computed in *)
+  in_decl : concept_decl;
+  in_assoc : (string * ty) list;
+  in_subst : (string * ty) list;
+  in_refines : (string * ty list) list;
+  in_requires : (string * ty list) list;
+  in_same : (ty * ty) list;
+  in_members : (string * ty) list;
+}
+
 type t = {
   vars : ty Smap.t;
   tyvars : Sset.t;
@@ -74,6 +92,9 @@ type t = {
           concept, raw argument types); shared by every environment
           derived from the same {!create} — in particular by every
           program checked against one session's prelude scope *)
+  instantiations : (string * ty list, instantiation) Hashtbl.t;
+      (** memoized concept instantiations, shared like
+          [resolve_cache] *)
   diag : Diag.engine ref;
       (** warning sink, shared by every environment derived from the
           same {!create}; recovering drivers swap in their own engine
@@ -104,6 +125,7 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
     scope_gen = 0;
     gen_supply = ref 0;
     resolve_cache = Hashtbl.create 256;
+    instantiations = Hashtbl.create 64;
     diag = ref (Diag.engine ());
     family = Atomic.fetch_and_add family_supply 1;
   }
@@ -114,6 +136,31 @@ let create ?(resolution = Resolution.Lexical) ?(escape_check = true) () =
    lookup made under another (e.g. two programs declaring different
    models of the same concept each get private generations). *)
 let next_gen env = { env with scope_gen = (incr env.gen_supply; !(env.gen_supply)) }
+
+(* Generations are never reused, so memo entries made in a scope newer
+   than [env]'s can only be hit again while that scope is still being
+   checked.  A driver that is done with every such scope (a session
+   between programs) drops them here, which keeps both tables bounded
+   by what the base scope itself resolves.  Declaring a concept does not
+   bump the generation, so instantiations also go unless they were made
+   under [env]'s own concept table. *)
+let forget_newer_scopes env =
+  let keep g = g <= env.scope_gen in
+  Hashtbl.filter_map_inplace
+    (fun (g, _, _) r -> if keep g then Some r else None)
+    env.resolve_cache;
+  Hashtbl.filter_map_inplace
+    (fun _ i ->
+      if keep i.in_gen && i.in_concepts == env.concepts then Some i else None)
+    env.instantiations
+
+let instantiation env key make =
+  match Hashtbl.find_opt env.instantiations key with
+  | Some i when i.in_concepts == env.concepts -> i
+  | _ ->
+      let i = make () in
+      Hashtbl.replace env.instantiations key i;
+      i
 
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
@@ -165,7 +212,9 @@ let lookup_concept_exn ?loc env c =
 
 (* Resolution depth fuse: parameterized models can require instances of
    themselves at larger types, and ill-behaved sets of models could
-   diverge; bound the recursion and report rather than loop. *)
+   diverge; bound the recursion and report rather than loop.  The fuse
+   sits on every resolution step, so the subject is a thunk: it is
+   rendered only when the fuse fires. *)
 let max_resolution_depth = 64
 
 let check_depth ?loc depth what =
@@ -173,7 +222,7 @@ let check_depth ?loc depth what =
     Diag.resolve_error ~code:"FG0405" ?loc
       "model resolution exceeded depth %d while resolving %s (diverging \
        parameterized models?)"
-      max_resolution_depth what
+      max_resolution_depth (what ())
 
 (** Normalize a type by resolving associated-type projections through
     the models in scope.  Ground models also contribute equations to the
@@ -181,7 +230,7 @@ let check_depth ?loc depth what =
     declaration covers infinitely many instances — so their projections
     are resolved here, by rewriting, before any equality query. *)
 let rec normalize ?loc ?(depth = 0) env (t : ty) : ty =
-  check_depth ?loc depth (Pretty.ty_to_string t);
+  check_depth ?loc depth (fun () -> Pretty.ty_to_string t);
   let norm t = normalize ?loc ~depth env t in
   match t with
   | TBase _ | TVar _ -> t
@@ -236,7 +285,8 @@ and lookup_model ?loc ?(depth = 0) env c args : found_model option =
       r
 
 and lookup_model_uncached ?loc ~depth env c args : found_model option =
-  check_depth ?loc depth (Pretty.constr_to_string (CModel (c, args)));
+  check_depth ?loc depth (fun () ->
+      Pretty.constr_to_string (CModel (c, args)));
   let args = List.map (normalize ?loc ~depth:(depth + 1) env) args in
   List.find_map
     (fun me ->
@@ -256,10 +306,11 @@ and lookup_model_uncached ?loc ~depth env c args : found_model option =
         match match_args ?loc ~depth env me.me_params me.me_args args with
         | None -> None
         | Some subst ->
+            let inst = subst_constr_list subst in
             if
               List.for_all
                 (fun constr ->
-                  match subst_constr_list subst constr with
+                  match inst constr with
                   | CModel (c', args') ->
                       lookup_model ?loc ~depth:(depth + 1) env c' args'
                       <> None

@@ -22,6 +22,23 @@ type model_entry = {
     matching substitution for its parameters. *)
 type found_model = { fm_entry : model_entry; fm_subst : (string * ty) list }
 
+(** A concept instantiated at argument types: [ba(c, τ̄)], the
+    substitution it induces, and the instantiated refinements, nested
+    requirements, same-type requirements and member types. *)
+type instantiation = {
+  in_concepts : concept_decl Smap.t;
+      (** the concept table it was computed under; valid only under the
+          physically same table *)
+  in_gen : int;  (** the scope generation it was computed in *)
+  in_decl : concept_decl;
+  in_assoc : (string * ty) list;
+  in_subst : (string * ty) list;
+  in_refines : (string * ty list) list;
+  in_requires : (string * ty list) list;
+  in_same : (ty * ty) list;
+  in_members : (string * ty) list;
+}
+
 type t = {
   vars : ty Smap.t;
   tyvars : Fg_util.Names.Sset.t;
@@ -45,6 +62,9 @@ type t = {
       (** memoized model resolution keyed on (scope generation,
           concept, argument types); shared by all environments derived
           from one {!create} *)
+  instantiations : (string * ty list, instantiation) Hashtbl.t;
+      (** memoized concept instantiations keyed on (concept,
+          arguments); shared like [resolve_cache] *)
   diag : Fg_util.Diag.engine ref;
       (** warning sink shared by all environments derived from one
           {!create}; recovering drivers swap in their own engine for
@@ -56,6 +76,18 @@ type t = {
 }
 
 val create : ?resolution:Resolution.mode -> ?escape_check:bool -> unit -> t
+
+(** Drop the [resolve_cache] and [instantiations] entries made in
+    scopes newer than this environment's (and instantiations made under
+    another concept table).  Generations are never reused, so once no
+    such scope will be checked again they are dead. *)
+val forget_newer_scopes : t -> unit
+
+(** [instantiation env (c, args) make] is the memoized instantiation of
+    [c<args>] under [env]'s concept table, computed by [make] on a
+    miss. *)
+val instantiation :
+  t -> string * ty list -> (unit -> instantiation) -> instantiation
 
 (** {1 Extension} *)
 

@@ -189,11 +189,21 @@ let memo cache =
 
 let backend t = t.cfg.Config.backend
 
-let extend t decls =
-  (* Rewind the supply first so extension points do not depend on how
-     many programs the session has served. *)
+(* Reset the per-program mutable state the shared environment carries:
+   the fresh-name supply and the Global ablation's overlap set go back
+   to their post-prelude positions, so program N+1 sees exactly the
+   state program 1 saw, and the resolution and instantiation memos drop
+   what the previous program's own scopes recorded (nothing can hit it
+   again, so without this they would only grow). *)
+let reset t =
   Gensym.restore t.env.Env.gensym t.mark;
   t.env.Env.global_models := t.globals_mark;
+  Env.forget_newer_scopes t.env
+
+let extend t decls =
+  (* Reset first so extension points do not depend on how many
+     programs the session has served. *)
+  reset t;
   let env', wrap', units =
     check_decl_stack t.hc t.cache ~spine:t.spine t.env decls ~file:"<decls>"
   in
@@ -244,13 +254,8 @@ let extend_result t decls = Diag.protect (fun () -> extend t decls)
 (* ---------------------------------------------------------------- *)
 (* Per-program checking                                              *)
 
-(* Reset the per-program mutable state the shared environment carries:
-   the fresh-name supply and the Global ablation's overlap set go back
-   to their post-prelude positions, so program N+1 sees exactly the
-   state program 1 saw. *)
 let rewind t =
-  Gensym.restore t.env.Env.gensym t.mark;
-  t.env.Env.global_models := t.globals_mark;
+  reset t;
   Telemetry.record_program ();
   if t.cfg.Config.prelude <> None then Telemetry.record_prelude_reuse ()
 
@@ -529,5 +534,10 @@ let run_batch ?domains ?fuel t (jobs : (string * string) list) :
 (* Observability                                                     *)
 
 let stats t = Telemetry.diff (Telemetry.snapshot ()) t.created
+
+let checker_memo_sizes t =
+  ( Hashtbl.length t.env.Env.resolve_cache,
+    Hashtbl.length t.env.Env.instantiations )
+
 let interned_types t = Hashcons.size t.hc
 let cache_stats t = Unit.stats t.cache

@@ -236,5 +236,10 @@ val stats : t -> Telemetry.snapshot
 (** Distinct hash-consed types interned by this session. *)
 val interned_types : t -> int
 
+(** Entries in the session environment's model-resolution cache and
+    concept-instantiation memo.  Both are pruned between programs to
+    what the post-prelude scope itself recorded. *)
+val checker_memo_sizes : t -> int * int
+
 (** Unit-cache counters: hits, misses, evictions, invalidations, size. *)
 val cache_stats : t -> Unit.stats

@@ -55,58 +55,68 @@ let arity_check ?loc what name ~expected ~got =
 (* ------------------------------------------------------------------ *)
 (* ba: associated types in scope for a concept instantiation           *)
 
+(* A concept instantiation is computed once per (concept, arguments)
+   under one concept table and memoized in the environment: refinement
+   diamonds reach the same instantiation from many dictionary nodes. *)
+let rec instantiate ?loc env (c, args) : Env.instantiation =
+  Env.instantiation env (c, args) (fun () ->
+      let decl = Env.lookup_concept_exn ?loc env c in
+      arity_check ?loc "concept" c
+        ~expected:(List.length decl.c_params)
+        ~got:(List.length args);
+      let own = List.map (fun s -> (s, TAssoc (c, args, s))) decl.c_assoc in
+      let params = List.combine decl.c_params args in
+      let assoc =
+        List.fold_left
+          (fun acc (c', rargs) ->
+            let rargs' = List.map (subst_ty_list (params @ acc)) rargs in
+            let inherited = (instantiate ?loc env (c', rargs')).Env.in_assoc in
+            acc
+            @ List.filter (fun (s, _) -> not (List.mem_assoc s acc)) inherited)
+          own decl.c_refines
+      in
+      let subst = params @ assoc in
+      let inst = subst_ty_list subst in
+      let inst_reqs = List.map (fun (c', rargs) -> (c', List.map inst rargs)) in
+      {
+        Env.in_concepts = env.Env.concepts;
+        in_gen = env.Env.scope_gen;
+        in_decl = decl;
+        in_assoc = assoc;
+        in_subst = subst;
+        in_refines = inst_reqs decl.c_refines;
+        in_requires = inst_reqs decl.c_requires;
+        in_same = List.map (fun (a, b) -> (inst a, inst b)) decl.c_same;
+        in_members = List.map (fun (x, ty) -> (x, inst ty)) decl.c_members;
+      })
+
 (** [assoc_scope env (c, args)] maps every associated-type name visible
     in concept [c] — its own and those of the concepts it transitively
     refines — to its qualified projection.  On a name collision the
     first binding wins: the concept's own associated types shadow
     refined ones, and earlier refinements shadow later ones. *)
-let rec assoc_scope ?loc env (c, args) : (string * ty) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  arity_check ?loc "concept" c
-    ~expected:(List.length decl.c_params)
-    ~got:(List.length args);
-  let own = List.map (fun s -> (s, TAssoc (c, args, s))) decl.c_assoc in
-  let params = List.combine decl.c_params args in
-  List.fold_left
-    (fun acc (c', rargs) ->
-      let rargs' = List.map (subst_ty_list (params @ acc)) rargs in
-      let inherited = assoc_scope ?loc env (c', rargs') in
-      acc
-      @ List.filter (fun (s, _) -> not (List.mem_assoc s acc)) inherited)
-    own decl.c_refines
+let assoc_scope ?loc env ca = (instantiate ?loc env ca).Env.in_assoc
 
 (** Substitution applied to a concept's member types and same-type
     requirements when the concept is instantiated at [args]: parameters
     to arguments, associated-type names to qualified projections. *)
-let instantiation_subst ?loc env (c, args) =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  List.combine decl.c_params args @ assoc_scope ?loc env (c, args)
+let instantiation_subst ?loc env ca = (instantiate ?loc env ca).Env.in_subst
 
 (** Direct refinements of [c<args>], instantiated. *)
-let refinements ?loc env (c, args) : (string * ty list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  List.map
-    (fun (c', rargs) -> (c', List.map (subst_ty_list s) rargs))
-    decl.c_refines
+let refinements ?loc env ca = (instantiate ?loc env ca).Env.in_refines
 
 (** Nested requirements [require C'<σ̄>;] of [c<args>], instantiated
     (Section 6 extension): like refinements they contribute proxies and
     nested dictionaries, but no member names. *)
-let requires ?loc env (c, args) : (string * ty list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  List.map
-    (fun (c', rargs) -> (c', List.map (subst_ty_list s) rargs))
-    decl.c_requires
+let requires ?loc env ca = (instantiate ?loc env ca).Env.in_requires
 
 (** The concept's same-type requirements, instantiated. *)
-let same_requirements ?loc env (c, args) : (ty * ty) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  List.map
-    (fun (a, b) -> (subst_ty_list s a, subst_ty_list s b))
-    decl.c_same
+let same_requirements ?loc env ca = (instantiate ?loc env ca).Env.in_same
+
+(* Dictionary slots before a concept's own members: one per refinement
+   and nested requirement. *)
+let n_nested (i : Env.instantiation) =
+  List.length i.Env.in_decl.c_refines + List.length i.Env.in_decl.c_requires
 
 (* ------------------------------------------------------------------ *)
 (* b: member lookup with dictionary paths                              *)
@@ -119,46 +129,34 @@ let same_requirements ?loc env (c, args) : (ty * ty) list =
     refined concepts' dictionaries and whose remaining components are
     the concept's own members in declaration order. *)
 let rec member_lookup ?loc env (c, args) x : (ty * int list) option =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  let n_refines = List.length decl.c_refines + List.length decl.c_requires in
-  match
-    List.find_index (fun (y, _) -> String.equal x y) decl.c_members
-  with
-  | Some i ->
-      let ty = subst_ty_list s (snd (List.nth decl.c_members i)) in
-      Some (ty, [ n_refines + i ])
+  let i = instantiate ?loc env (c, args) in
+  match List.find_index (fun (y, _) -> String.equal x y) i.Env.in_members with
+  | Some k -> Some (snd (List.nth i.Env.in_members k), [ n_nested i + k ])
   | None ->
       let rec try_refines j = function
         | [] -> None
-        | (c', rargs) :: rest -> (
-            let rargs' = List.map (subst_ty_list s) rargs in
-            match member_lookup ?loc env (c', rargs') x with
+        | r :: rest -> (
+            match member_lookup ?loc env r x with
             | Some (ty, path) -> Some (ty, j :: path)
             | None -> try_refines (j + 1) rest)
       in
-      try_refines 0 decl.c_refines
+      try_refines 0 i.Env.in_refines
 
 (** All members reachable from [c<args>], with types and paths; own
     members shadow refined ones of the same name (tests, docs, REPL). *)
 let rec all_members ?loc env (c, args) : (string * ty * int list) list =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
-  let n_refines = List.length decl.c_refines + List.length decl.c_requires in
+  let i = instantiate ?loc env (c, args) in
   let own =
-    List.mapi
-      (fun i (x, ty) -> (x, subst_ty_list s ty, [ n_refines + i ]))
-      decl.c_members
+    List.mapi (fun k (x, ty) -> (x, ty, [ n_nested i + k ])) i.Env.in_members
   in
   let inherited =
     List.concat
       (List.mapi
-         (fun j (c', rargs) ->
-           let rargs' = List.map (subst_ty_list s) rargs in
+         (fun j r ->
            List.map
              (fun (x, ty, path) -> (x, ty, j :: path))
-             (all_members ?loc env (c', rargs')))
-         decl.c_refines)
+             (all_members ?loc env r))
+         i.Env.in_refines)
   in
   own
   @ List.filter
@@ -324,16 +322,13 @@ and process_where ?loc env (binders : string list) (constrs : constr list) :
    nested dictionaries for refined concepts first, then the translated
    member types. *)
 and dict_type ?loc env (c, args) : F.ty =
-  let decl = Env.lookup_concept_exn ?loc env c in
-  let s = instantiation_subst ?loc env (c, args) in
+  let i = instantiate ?loc env (c, args) in
   let refine_dicts =
     List.map (fun r -> dict_type ?loc env r)
-      (refinements ?loc env (c, args) @ requires ?loc env (c, args))
+      (i.Env.in_refines @ i.Env.in_requires)
   in
   let member_tys =
-    List.map
-      (fun (_, ty) -> translate_ty ?loc env (subst_ty_list s ty))
-      decl.c_members
+    List.map (fun (_, ty) -> translate_ty ?loc env ty) i.Env.in_members
   in
   F.TTuple (refine_dicts @ member_tys)
 

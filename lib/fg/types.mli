@@ -24,7 +24,9 @@ val arity_check :
   ?loc:Fg_util.Loc.t -> string -> string -> expected:int -> got:int -> unit
 
 (** [ba(c, τ̄)]: every associated-type name visible in the concept (own
-    and transitively refined), mapped to its qualified projection. *)
+    and transitively refined), mapped to its qualified projection.  This
+    and the instantiation functions below are computed once per
+    (concept, arguments) under one concept table ({!Env.instantiation}). *)
 val assoc_scope :
   ?loc:Fg_util.Loc.t -> Env.t -> string * ty list -> (string * ty) list
 

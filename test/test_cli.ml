@@ -194,6 +194,26 @@ let test_json_diagnostics_golden () =
     ^ {|"notes": []}]}|})
     out
 
+(* The depth-fuse entry, byte for byte: its FG0405 message renders the
+   type the fuse fired on (Eq<list^64 int>), which the resolver only
+   renders once the fuse fires. *)
+let test_depth_fuse_golden () =
+  let out_file = Filename.temp_file "fgc_out" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s corpus neg_param_diverging --format=json > %s"
+         (Filename.quote fgc) (Filename.quote out_file))
+  in
+  let read path =
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let out = read out_file in
+  Sys.remove out_file;
+  Alcotest.(check int) "rejected as expected exits 0" 0 code;
+  Alcotest.(check string) "output"
+    (read "golden/corpus_neg_param_diverging.txt")
+    out
+
 (* Golden test for the fuzz report shape, plus end-to-end determinism:
    the same seed must produce byte-identical reports, and a clean run
    must exit 0. *)
@@ -444,6 +464,8 @@ let suite =
     Alcotest.test_case "translate --type" `Quick test_translate;
     Alcotest.test_case "verify" `Quick test_verify;
     Alcotest.test_case "elaborate" `Quick test_elaborate;
+    Alcotest.test_case "depth-fuse corpus entry golden" `Quick
+      test_depth_fuse_golden;
     Alcotest.test_case "error exit code" `Quick test_error_exit_code;
     Alcotest.test_case "--global-models" `Quick test_global_flag;
     Alcotest.test_case "corpus listing" `Quick test_corpus_listing;

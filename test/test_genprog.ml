@@ -79,6 +79,38 @@ let test_dict_depth_in_translation () =
     (Astring_contains.contains
        ~needle:"nth (nth (nth (nth (nth" s)
 
+(* Scaling guard on the checker's success path: work done per
+   resolution step or per substituted type (rendering a diagnostic that
+   is not raised, rebuilding a substitution map) makes these families
+   superlinear.  Each time is the minimum of three in-process runs on
+   fresh sessions; the bounds leave room for a noisy host over the
+   measured ratios (about 5x, 25x and 23x on a 2-vCPU VM). *)
+let min_of_3_ms src =
+  let once () =
+    let s = Fresh.session () in
+    let t0 = Unix.gettimeofday () in
+    ignore (Session.run_full ~file:"scale" s src);
+    (Unix.gettimeofday () -. t0) *. 1000.
+  in
+  List.fold_left min infinity [ once (); once (); once () ]
+
+let test_scaling_guard () =
+  List.iter
+    (fun (name, family, small, large, bound) ->
+      let t_small = min_of_3_ms (family small) in
+      let t_large = min_of_3_ms (family large) in
+      let ratio = t_large /. t_small in
+      if ratio > bound then
+        Alcotest.failf "%s %d / %d: %.1f ms / %.2f ms = %.1fx > %.0fx" name
+          large small t_large t_small ratio bound)
+    [
+      ("param_depth", Genprog.param_depth, 8, 45, 12.);
+      ("same_type_chain", Genprog.same_type_chain, 35, 566, 60.);
+      ( "instantiation_fanout",
+        (fun n -> Genprog.instantiation_fanout n),
+        4, 23, 60. );
+    ]
+
 let suite =
   [
     Alcotest.test_case "refinement chain" `Quick test_refinement_chain;
@@ -91,4 +123,5 @@ let suite =
     Alcotest.test_case "workloads agree" `Quick test_workloads_agree;
     Alcotest.test_case "dictionary depth visible" `Quick
       test_dict_depth_in_translation;
+    Alcotest.test_case "check-time scaling guard" `Quick test_scaling_guard;
   ]

@@ -376,6 +376,31 @@ let test_stats_and_interning () =
   Alcotest.(check bool) "cache hits recorded" true (st.resolve_hits > 0);
   Alcotest.(check bool) "types interned" true (Session.interned_types s > 0)
 
+(* Scope generations are never reused, so what one program's own scopes
+   put in the resolution cache and the instantiation memo can never be
+   hit by the next; the session drops it between programs.  Repeated
+   passes over the corpus must therefore leave both tables at one size.
+   (The second pass replays the first one's cached declarations, so
+   instantiations only a declaration check makes are not redone; the
+   size is the same from then on.) *)
+let test_checker_memos_bounded () =
+  let s = Session.of_config Session.Config.(default |> with_standard_prelude) in
+  let pass () =
+    List.iter
+      (fun (e : Corpus.entry) ->
+        ignore (Session.run_result ~file:e.name s e.source))
+      Corpus.all;
+    Session.checker_memo_sizes s
+  in
+  ignore (pass ());
+  let second = pass () in
+  Alcotest.(check bool) "tables in use" true (fst second > 0 && snd second > 0);
+  for k = 3 to 8 do
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "sizes after pass %d" k)
+      second (pass ())
+  done
+
 let test_prelude_must_be_declarations () =
   match
     Fg_util.Diag.protect (fun () ->
@@ -453,6 +478,8 @@ let suite =
       test_unit_cache_eviction;
     Alcotest.test_case "stats and interning observable" `Quick
       test_stats_and_interning;
+    Alcotest.test_case "resolution and instantiation memos bounded" `Quick
+      test_checker_memos_bounded;
     Alcotest.test_case "prelude must be declarations" `Quick
       test_prelude_must_be_declarations;
     Alcotest.test_case "declaration graph rules" `Quick test_declgraph_rules;

@@ -177,6 +177,89 @@ let test_translate_ty_unconstrained () =
   | ft ->
       Alcotest.failf "unexpected %s" (Fg_systemf.Pretty.ty_to_string ft)
 
+(* Instantiations are memoized per (concept, arguments), which is only
+   sound under one concept table: here the bottom of a refinement
+   diamond is shadowed by a concept with another member layout between
+   two uses of Top<int>, so a stale instantiation would find [get] at
+   the old path (evaluating [put]) and no [put] at all. *)
+let shadowed_refined_concept =
+  {|concept Base<t> { types s; get : fn(t) -> s; } in
+concept L<t> { refines Base<t>; left : fn(t) -> t; } in
+concept R<t> { refines Base<t>; right : fn(t) -> t; } in
+concept Top<t> { refines L<t>, R<t>; } in
+let use_top = tfun t where Top<t> =>
+  fun (x : t) => Top<t>.get(Top<t>.left(Top<t>.right(x))) in
+model Base<int> { types s = int; get = fun (x : int) => x + 1; } in
+model L<int> { left = fun (x : int) => x * 2; } in
+model R<int> { right = fun (x : int) => x * 3; } in
+model Top<int> { } in
+let r1 = use_top[int](1) in
+let g1 = Top<int>.get(10) in
+concept Base<t> { types s; put : fn(t) -> t; get : fn(t) -> s; } in
+model Base<int> { types s = int; put = fun (x : int) => x * 100;
+                  get = fun (x : int) => x + 2; } in
+model L<int> { left = fun (x : int) => x * 5; } in
+model R<int> { right = fun (x : int) => x * 7; } in
+model Top<int> { } in
+let g2 = Top<int>.get(10) in
+let p2 = Top<int>.put(10) in
+(r1, g1, g2, p2)|}
+
+let test_memo_under_shadowed_concept () =
+  match
+    Session.run_result ~file:"shadow" (Fresh.session ())
+      shadowed_refined_concept
+  with
+  | Ok out ->
+      Alcotest.(check string) "value" "(7, 11, 12, 1000)"
+        (Interp.flat_to_string out.value);
+      Alcotest.(check string) "type" "int * int * int * int"
+        (Pretty.ty_to_string out.fg_ty);
+      Alcotest.(check bool) "theorems hold" true out.theorem_holds
+  | Error d -> Alcotest.failf "%s" (Fg_util.Diag.to_string d)
+
+(* [subst_ty_list s] builds its map once and reuses it for every type
+   it is applied to; that must be the substitution of a map built
+   afresh from [s], where a repeated variable's last binding wins. *)
+let prop_subst_list_shares_one_map =
+  let open QCheck.Gen in
+  let var = oneofl [ "a"; "b"; "c" ] in
+  let ty_gen =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then
+             oneof
+               [ map (fun v -> Ast.TVar v) var; return (Ast.TBase Ast.TInt) ]
+           else
+             frequency
+               [
+                 (2, map (fun v -> Ast.TVar v) var);
+                 (2, map (fun t -> Ast.TList t) (self (n / 2)));
+                 ( 1,
+                   map2 (fun x y -> Ast.TArrow ([ x ], y)) (self (n / 2))
+                     (self (n / 2)) );
+                 ( 1,
+                   map2
+                     (fun v t -> Ast.TForall ([ v ], [], t))
+                     var (self (n / 2)) );
+               ])
+  in
+  let gen =
+    pair
+      (list_size (int_bound 5) (pair var ty_gen))
+      (list_size (int_bound 4) ty_gen)
+  in
+  let print (s, ts) =
+    String.concat ", "
+      (List.map (fun (a, t) -> a ^ " := " ^ Pretty.ty_to_string t) s)
+    ^ " | "
+    ^ String.concat ", " (List.map Pretty.ty_to_string ts)
+  in
+  QCheck.Test.make ~name:"subst_ty_list = a fresh map, last binding wins"
+    ~count:300 (QCheck.make ~print gen) (fun (s, ts) ->
+      let fresh = Fg_util.Names.Smap.of_seq (List.to_seq s) in
+      List.map (Ast.subst_ty_list s) ts = List.map (Ast.subst_ty fresh) ts)
+
 let suite =
   [
     Alcotest.test_case "assoc_scope (ba)" `Quick test_assoc_scope;
@@ -196,4 +279,7 @@ let suite =
       test_translate_ty_forall;
     Alcotest.test_case "translate plain forall" `Quick
       test_translate_ty_unconstrained;
+    Alcotest.test_case "instantiation memo under a shadowed concept" `Quick
+      test_memo_under_shadowed_concept;
+    QCheck_alcotest.to_alcotest prop_subst_list_shares_one_map;
   ]
