@@ -20,7 +20,12 @@
       concept in its transitive concept-interest closure;
     - the Global ablation's overlap check is order-dependent across all
       models, so under it every model-declaring unit depends on every
-      earlier one. *)
+      earlier one.
+
+    {!build} spells these rules out as transitive dependency sets; it
+    is the reference.  Units are keyed on {!direct}, which keeps only
+    the edges a unit observes directly and reaches exactly the same
+    units (DESIGN.md S19 has the argument). *)
 
 open Fg_util
 open Ast
@@ -276,5 +281,120 @@ let build ~global (infos : info array) : int list array =
     List.iter (fun (m, c) -> Hashtbl.replace named_concept m c) info.i_named;
     if info.i_declares_model || not (Sset.is_empty mo) then
       model_units := k :: !model_units
+  done;
+  deps
+
+(* ---------------------------------------------------------------- *)
+(* The direct graph                                                   *)
+
+(* Where each name is first referenced, and the names some unit
+   references before a later unit provides them: the only names whose
+   provider can differ between a unit and a later unit that reaches
+   it. *)
+let first_refs_and_moved (infos : info array) =
+  let first_ref = Hashtbl.create 64 and last_provider = Hashtbl.create 64 in
+  Array.iteri
+    (fun k info ->
+      Sset.iter
+        (fun x ->
+          if not (Hashtbl.mem first_ref x) then Hashtbl.add first_ref x k)
+        info.i_refs;
+      Sset.iter (fun x -> Hashtbl.replace last_provider x k) info.i_provides)
+    infos;
+  let moved =
+    Hashtbl.fold
+      (fun x p s ->
+        match Hashtbl.find_opt first_ref x with
+        | Some r when r < p -> Sset.add x s
+        | _ -> s)
+      last_provider Sset.empty
+  in
+  (first_ref, moved)
+
+let direct ~global (infos : info array) : int list array =
+  let n = Array.length infos in
+  let first_ref, moved = first_refs_and_moved infos in
+  let deps = Array.make n [] in
+  (* [interest.(k)]: the concepts mentioned by [k] or anything it
+     reaches; [moves.(k)]: the moved names they reference *)
+  let interest = Array.make n Sset.empty in
+  let moves = Array.make n Sset.empty in
+  (* [mark.(j) = k] once [j] is a dependency of [k] *)
+  let mark = Array.make n (-1) in
+  let providers : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let named_concept : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  (* Per concept, the latest unit extending its model scope.  That
+     unit is itself interested in the concept (an unnamed model
+     mentions it; a [using] reaches the named model through the
+     bindings of its name, each of which references the one it
+     shadows), so it depends on the previous one: they form a chain. *)
+  let latest_model : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let last_model = ref None in
+  for k = 0 to n - 1 do
+    let info = infos.(k) in
+    let mo =
+      match info.i_using with
+      | Some m -> (
+          match Hashtbl.find_opt named_concept m with
+          | Some c -> Sset.add c info.i_model_of
+          | None -> info.i_model_of)
+      | None -> info.i_model_of
+    in
+    let ds = ref [] and work = ref [] in
+    let add j =
+      if mark.(j) <> k then begin
+        mark.(j) <- k;
+        ds := j :: !ds;
+        work := j :: !work
+      end
+    in
+    let c = ref Sset.empty and m = ref Sset.empty in
+    let see_concepts cs =
+      Sset.iter
+        (fun cn ->
+          if not (Sset.mem cn !c) then begin
+            c := Sset.add cn !c;
+            Option.iter add (Hashtbl.find_opt latest_model cn)
+          end)
+        cs
+    in
+    (* [moved] is spine-wide, so it can name a unit re-providing [x]
+       after [k]; only a provider before [k] that follows [x]'s first
+       reference adds an edge, which keeps [k]'s edges (and so its
+       key) a function of the units up to [k] *)
+    let see_moved xs =
+      Sset.iter
+        (fun x ->
+          if not (Sset.mem x !m) then begin
+            m := Sset.add x !m;
+            match Hashtbl.find_opt providers x with
+            | Some p when p > Hashtbl.find first_ref x -> add p
+            | _ -> ()
+          end)
+        xs
+    in
+    Sset.iter
+      (fun x -> Option.iter add (Hashtbl.find_opt providers x))
+      info.i_refs;
+    if global && info.i_declares_model then Option.iter add !last_model;
+    see_concepts info.i_concepts;
+    see_moved (Sset.filter (fun x -> Sset.mem x moved) info.i_refs);
+    let rec drain () =
+      match !work with
+      | [] -> ()
+      | j :: rest ->
+          work := rest;
+          see_concepts interest.(j);
+          see_moved moves.(j);
+          drain ()
+    in
+    drain ();
+    interest.(k) <- !c;
+    moves.(k) <- !m;
+    deps.(k) <- List.sort Int.compare !ds;
+    Sset.iter (fun nm -> Hashtbl.replace providers nm k) info.i_provides;
+    List.iter (fun (m, c) -> Hashtbl.replace named_concept m c) info.i_named;
+    Sset.iter (fun cn -> Hashtbl.replace latest_model cn k) mo;
+    if info.i_declares_model then last_model := Some k
   done;
   deps

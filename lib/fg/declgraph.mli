@@ -9,7 +9,9 @@
     a missing edge would be unsound), covering name references, binder
     shadowing, the transitive concept-interest closure that model
     resolution can consult, and — under the Global resolution ablation —
-    the order-dependent overlap check across all model declarations. *)
+    the order-dependent overlap check across all model declarations.
+    {!direct} gives each unit only the edges it needs for the units it
+    can observe to be exactly the ones it reaches. *)
 
 open Ast
 module Sset := Fg_util.Names.Sset
@@ -41,9 +43,23 @@ val info_of_decl : exp -> info
 (** Is this expression a declaration form? *)
 val is_decl : exp -> bool
 
-(** [build ~global infos] — dependency edges for each unit of a spine,
-    given the units' facts in spine order.  [deps.(k)] lists the
-    indices [j < k] whose checked results unit [k]'s checking can
-    observe, in ascending order.  [global] enables the Global
-    ablation's all-models coupling. *)
+(** [direct ~global infos] — the direct dependency edges of each unit
+    of a spine, given the units' facts in spine order; this is the
+    graph {!Unit} keys, replays and invalidates units on.
+    [deps.(k)] lists, in ascending order, indices [j < k] such that
+    the units reachable from [k] are exactly those whose checked
+    results [k]'s checking can observe: [k] names only what it
+    observes directly, and the Merkle chain of unit keys carries the
+    rest.  A dependent chain of [n] bindings gets [n - 1] edges.
+    [global] enables the Global ablation's all-models coupling (each
+    model declaration depends on the previous one). *)
+val direct : global:bool -> info array -> int list array
+
+(** [build ~global infos] — the reference graph: [deps.(k)] lists, in
+    ascending order, every index [j < k] whose checked results unit
+    [k]'s checking can observe, folding the reference and concept
+    closures of its dependencies into its own (n(n-1)/2 edges on a
+    dependent chain).  Not on the checking path: it is the oracle
+    {!direct}'s reachability is tested against, and the benchmark's
+    per-layer declaration-graph timing. *)
 val build : global:bool -> info array -> int list array

@@ -2,7 +2,9 @@
 
 open Fg_util
 
-let format_version = 1
+(* 2: unit keys chain through direct dependency edges, so a unit's
+   recorded dependency list names only the units it observes directly. *)
+let format_version = 2
 
 type t = {
   root : string;

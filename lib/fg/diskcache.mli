@@ -28,8 +28,8 @@
 
 type t
 
-(** Bump when the blob layout changes: entries from other format
-    versions fail validation. *)
+(** Bump when the blob layout or the meaning of unit keys changes:
+    entries from other format versions fail validation. *)
 val format_version : int
 
 (** [open_store ?max_bytes root] creates [root] (and parents) if

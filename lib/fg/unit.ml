@@ -3,7 +3,7 @@
     Each declaration of a spine becomes a unit addressed by a content
     hash chained through its dependencies:
 
-      pkey = H(decl content ‖ dep pkeys ‖ gensym position ‖
+      pkey = H(decl content ‖ direct dep pkeys ‖ gensym position ‖
                resolution mode ‖ escape-check flag)
       key  = H(env family ‖ pkey)
 
@@ -17,12 +17,12 @@
     and shared-prefix scenarios and keeps every diagnostic and
     elaborated location byte-identical.  [Marshal.No_sharing] keeps the
     bytes independent of hash-consing.  The gensym position makes the
-    fresh names a unit consumed part of its address, the dependency
-    keys cover (transitively) everything the checker could observe in
-    scope, and the family confines hits to environments descending from
-    one [Env.create] — cached closures capture environments and their
-    shared supplies, so replaying them under a foreign family would not
-    be byte-identical.
+    fresh names a unit consumed part of its address, the keys of its
+    direct dependencies ({!Declgraph.direct}) cover, through theirs,
+    everything the checker could observe in scope, and the family
+    confines hits to environments descending from one [Env.create] —
+    cached closures capture environments and their shared supplies, so
+    replaying them under a foreign family would not be byte-identical.
 
     A cache hit replays a unit instead of re-checking it: the recorded
     environment delta is re-applied, the fresh-name supply fast-forwards
@@ -250,21 +250,22 @@ let invalidate c ~protect ~seeds =
   | [] -> 0
   | _ ->
       let protect = KSet.of_list protect in
-      let invalid = ref (KSet.of_list seeds) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        Hashtbl.iter
-          (fun key e ->
-            if
-              (not (KSet.mem key !invalid))
-              && List.exists (fun d -> KSet.mem d !invalid) e.e_unit.ck_deps
-            then begin
-              invalid := KSet.add key !invalid;
-              changed := true
-            end)
-          c.tbl
-      done;
+      (* the cached units depending directly on each key, built once;
+         dependents of dependents are found by walking it *)
+      let dependents = Hashtbl.create (Hashtbl.length c.tbl) in
+      Hashtbl.iter
+        (fun key e ->
+          List.iter (fun d -> Hashtbl.add dependents d key) e.e_unit.ck_deps)
+        c.tbl;
+      let invalid = ref KSet.empty in
+      let rec visit = function
+        | [] -> ()
+        | key :: rest when KSet.mem key !invalid -> visit rest
+        | key :: rest ->
+            invalid := KSet.add key !invalid;
+            visit (List.rev_append (Hashtbl.find_all dependents key) rest)
+      in
+      visit seeds;
       let dropped = ref 0 in
       KSet.iter
         (fun key ->
@@ -419,7 +420,7 @@ let walk ?recover ?(poisoned = Sset.empty) cache ~(spine : checked list) env0
       @ List.map Declgraph.info_of_decl decls)
   in
   let global = env0.Env.resolution = Resolution.Global in
-  let deps = Declgraph.build ~global infos in
+  let deps = Declgraph.direct ~global infos in
   let keys = Array.make (Array.length infos) "" in
   let pkeys = Array.make (Array.length infos) "" in
   List.iteri

@@ -36,6 +36,7 @@ type checked = {
       (** portable key — family-free, so it addresses the persistent
           tiers (disk store, cache peers), which outlive any process *)
   ck_deps : string list;
+      (** keys of the units it depends on directly ({!Declgraph.direct}) *)
   ck_info : Declgraph.info;
   ck_extend : Env.t -> Env.t;
   ck_wrap : triple -> triple;

@@ -36,6 +36,7 @@ let () =
       ("diagnostics", Test_diagnostics.suite);
       ("recovery", Test_recovery.suite);
       ("session", Test_session.suite);
+      ("declgraph", Test_declgraph.suite);
       ("diskcache", Test_diskcache.suite);
       ("cli", Test_cli.suite);
       ("wire-protocol", Test_protocol.suite);

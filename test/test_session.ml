@@ -409,12 +409,18 @@ let test_prelude_must_be_declarations () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-declaration prelude accepted"
 
-(* The dependency sets that key every unit, pinned on one spine that
-   exercises each rule: a shadowing rebinding depends on the binding it
-   shadows, references go to the latest provider only (unit 8 needs the
-   second [x], not the first), a constrained generic consults every
-   earlier model of its concepts, and under Global resolution every
-   model declaration couples to the earlier ones. *)
+(* The dependency sets of the reference builder, pinned on one spine
+   that exercises each rule: a shadowing rebinding depends on the
+   binding it shadows, references go to the latest provider only
+   (unit 8 needs the second [x], not the first), a constrained generic
+   consults every earlier model of its concepts, and under Global
+   resolution every model declaration couples to the earlier ones.
+   Then the direct edges units are keyed on: a generic reaches only
+   the latest model of each concept it is interested in (unit 7 needs
+   unit 4, whose member body binds [y] (binders count as references)
+   and unit 5 provides [y] after it — a moved name, so unit 7 also depends on 5 and,
+   through 5's moved [x], on 6), and Global chains each model
+   declaration to the previous one. *)
 let test_declgraph_rules () =
   let src =
     "concept C<t> { f : fn(t) -> t; } in\n\
@@ -432,11 +438,11 @@ let test_declgraph_rules () =
      w"
   in
   let decls, _ = Unit.split_spine (Parser.exp_of_string src) in
-  let deps global =
+  let graph build global =
     Array.to_list
-      (Declgraph.build ~global
-         (Array.of_list (List.map Declgraph.info_of_decl decls)))
+      (build ~global (Array.of_list (List.map Declgraph.info_of_decl decls)))
   in
+  let deps = graph Declgraph.build and direct = graph Declgraph.direct in
   Alcotest.(check (list (list int))) "lexical"
     [ []; []; [ 1 ]; []; [ 0 ]; [ 3 ]; [ 3 ]; [ 0; 4; 5; 6 ]; [ 5; 6 ];
       [ 0; 4; 5; 6 ]; [ 0; 4; 5; 6; 9 ]; [ 0; 4; 5; 6; 7; 8; 9; 10 ] ]
@@ -445,7 +451,15 @@ let test_declgraph_rules () =
     [ []; []; [ 1 ]; []; [ 0; 1; 2 ]; [ 3 ]; [ 3 ]; [ 0; 1; 2; 4; 5; 6 ];
       [ 5; 6 ]; [ 0; 1; 2; 4; 5; 6 ]; [ 0; 1; 2; 4; 5; 6; 9 ];
       [ 0; 1; 2; 4; 5; 6; 7; 8; 9; 10 ] ]
-    (deps true)
+    (deps true);
+  Alcotest.(check (list (list int))) "direct lexical"
+    [ []; []; [ 1 ]; []; [ 0 ]; [ 3 ]; [ 3 ]; [ 0; 4; 5; 6 ]; [ 5; 6 ];
+      [ 0; 4; 5; 6 ]; [ 4; 5; 6; 9 ]; [ 5; 6; 7; 8; 10 ] ]
+    (direct false);
+  Alcotest.(check (list (list int))) "direct global"
+    [ []; []; [ 1 ]; []; [ 0; 2 ]; [ 3 ]; [ 3 ]; [ 0; 2; 4; 5; 6 ]; [ 5; 6 ];
+      [ 0; 2; 4; 5; 6 ]; [ 2; 4; 5; 6; 9 ]; [ 2; 5; 6; 7; 8; 10 ] ]
+    (direct true)
 
 let suite =
   [

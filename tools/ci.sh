@@ -148,6 +148,24 @@ for f in programs/*.fg programs/errors/*.fg programs/fuzz_regressions/*.fg; do
     ;;
   esac
 done
+# A generated 2000-binding dependent let chain: units are keyed on
+# direct dependency edges, so the store stays linear in the chain, and
+# the warm run must replay every unit.
+chain=$(mktemp /tmp/fgc_chain_XXXXXX.fg)
+chain_cache=$(mktemp -d /tmp/fgc_chain_cache_XXXXXX)
+awk 'BEGIN { print "let x0 = 7 in"
+             for (i = 1; i < 2000; i++) printf "let x%d = x%d + %d in\n", i, i - 1, 1 + i % 9
+             print "x1999" }' > "$chain"
+"$fgc" run --format=json "$chain" > "$plain"
+"$fgc" run --format=json --cache-dir "$chain_cache" "$chain" > "$cold"
+"$fgc" run --format=json --cache-dir "$chain_cache" --stats "$chain" > "$warm" 2>"$wstats"
+cmp -s "$plain" "$cold" \
+  || { echo "cache smoke: cold cached 2000-chain differs from uncached"; exit 1; }
+cmp -s "$plain" "$warm" \
+  || { echo "cache smoke: warm cached 2000-chain differs from uncached"; exit 1; }
+grep -A4 'unit cache:' "$wstats" | grep -q 'misses         :          0' \
+  || { echo "cache smoke: warm 2000-chain run re-checked units"; exit 1; }
+rm -rf "$chain" "$chain_cache"
 rm -f "$plain" "$cold" "$warm" "$wstats"
 
 echo "== farm smoke (peer cache tier: cold daemon fed by a warm peer)"
